@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench bench-smoke bench-gate crash chaos-e2e chaos-disk fscheck cover docs examples experiments clean
+.PHONY: all check build vet test race bench bench-smoke bench-test bench-gate crash chaos-e2e chaos-disk fscheck cover docs examples experiments clean
 
-all: build vet test race docs fscheck bench-smoke bench-gate crash chaos-e2e chaos-disk
+all: build vet test race docs fscheck bench-smoke bench-test bench-gate crash chaos-e2e chaos-disk
 
 # The one gate to run before pushing: static checks plus the race-enabled
 # test suite, the docs-consistency guard and the storage-seam gate. The
@@ -55,6 +55,14 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDeliveryFanout' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend' -benchtime=1x -benchmem ./internal/enact/
 	$(GO) test -run '^$$' -bench 'BenchmarkSpoolPush' -benchtime=1x -benchmem ./internal/federation/
+
+# The pipeline benchmark (bench/, its own module, outside ./...) drives
+# real cmid children and internal/ packages directly; its smoke test
+# runs every workload for a fraction of a second with all output checks
+# on, so an internal/ API or behaviour change that breaks the benchmark
+# fails here and not in the driver.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Perf ratchet: re-measure the tracked points (awareness localJournal
 # throughput, enactment recovery time, streaming delivery rate, striped

@@ -13,6 +13,7 @@ package enact
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,7 +45,8 @@ type ProcessInstance struct {
 	root   string
 	stripe int
 
-	acts      map[string][]*ActivityInstance // activity variable -> instances
+	acts      map[string][]*ActivityInstance // activity variable -> instances, creation order
+	byID      []*ActivityInstance            // every instance, ascending id: the monitor's row order
 	ctxIDs    map[string]string              // context variable -> context id
 	ownedCtxs []string                       // contexts created by this instance
 	cancelled map[string]bool                // activity variables cancelled by DepCancel
@@ -77,6 +79,7 @@ type ActivityInstance struct {
 	state    core.State
 	assignee string
 	child    *ProcessInstance // set when a subprocess invocation has started
+	openAt   int              // 1 + position in the stripe's open index; 0 when not open
 }
 
 // ID returns the activity instance id.
@@ -98,10 +101,14 @@ func (a *ActivityInstance) IsSubprocess() bool {
 // WAL staging for the process families mapped to the stripe; emitMu
 // serializes observer callbacks for those families, so each family's
 // events are delivered in operation order while unrelated families
-// deliver concurrently.
+// deliver concurrently. open is the stripe's share of the open-work
+// index: the activity instances of its families whose state isActive —
+// what a worklist read visits instead of every instance ever created.
+// It is guarded by mu and written only by setActState.
 type stripe struct {
 	mu     sync.Mutex
 	emitMu sync.Mutex
+	open   []*ActivityInstance
 }
 
 // Engine is the coordination engine. It is safe for concurrent use.
@@ -135,6 +142,10 @@ type Engine struct {
 	nextProc atomic.Int64
 	nextAct  atomic.Int64
 
+	// openActs is the size of the open-work index summed over stripes,
+	// kept beside it so the gauge samples it without taking stripe locks.
+	openActs atomic.Int64
+
 	// Write-ahead logging (wal.go, recover.go). wal is nil until
 	// AttachWAL, which installs it while holding every stripe lock so
 	// stripe-locked operations read it without further synchronization;
@@ -145,6 +156,12 @@ type Engine struct {
 	snapEvery  int
 	replaying  atomic.Bool
 	compacting atomic.Bool
+	// compactMu orders the start of an asynchronous compaction against
+	// CloseWAL, which refuses new ones and waits on compactWG for the one
+	// in flight — nothing writes the state dir after CloseWAL returns.
+	compactMu sync.Mutex
+	compactWG sync.WaitGroup
+	walClosed bool
 
 	metrics atomic.Pointer[enactMetrics]
 }
@@ -161,9 +178,10 @@ type enactMetrics struct {
 }
 
 // Instrument registers the engine's metric series: state transitions
-// labelled by target state, live process/activity instance counts
-// sampled at exposition time, and the stripe contention counters. A nil
-// registry is a no-op; call before driving processes.
+// labelled by target state, held process/activity instance counts and
+// the open-work index size sampled at exposition time, and the stripe
+// contention counters. A nil registry is a no-op; call before driving
+// processes.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -200,12 +218,15 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 			return float64(len(e.procs))
 		})
 	reg.GaugeFunc("cmi_enact_activities",
-		"Activity instances held by the coordination engine.",
+		"Activity instances held by the coordination engine (open and closed).",
 		func() float64 {
 			e.idx.RLock()
 			defer e.idx.RUnlock()
 			return float64(len(e.activities))
 		})
+	reg.GaugeFunc("cmi_enact_open_activities",
+		"Activity instances in the open-work index (not closed): what a worklist read visits.",
+		func() float64 { return float64(e.openActs.Load()) })
 }
 
 // countTransition records one transition in the by-state counter family.
@@ -323,8 +344,8 @@ func (e *Engine) lockMulti(idxs []int) held {
 }
 
 // lockAll locks every stripe in ascending order. It is the global
-// escape hatch (unknown lock targets), and what full-state readers
-// (Worklist, snapshot export) use to get a consistent view.
+// escape hatch (unknown lock targets), and what cross-family readers
+// (Worklist, ProcessInfos, snapshot export) use to get a consistent view.
 func (e *Engine) lockAll() held {
 	for i := range e.stripes {
 		e.acquireStripe(i, nil)
@@ -383,6 +404,46 @@ func (e *Engine) addAct(ai *ActivityInstance) {
 	e.idx.Lock()
 	e.activities[ai.id] = ai
 	e.idx.Unlock()
+}
+
+// insertAct files a new activity instance under its variable (creation
+// order) and into the id-ordered row list; ids are unique, so the binary
+// search only ever finds an insertion point.
+func (pi *ProcessInstance) insertAct(ai *ActivityInstance) {
+	pi.acts[ai.varName] = append(pi.acts[ai.varName], ai)
+	i, _ := slices.BinarySearchFunc(pi.byID, ai.id, func(a *ActivityInstance, id string) int {
+		return strings.Compare(a.id, id)
+	})
+	pi.byID = slices.Insert(pi.byID, i, ai)
+}
+
+// setActState is the one place an activity instance's state is written
+// — live transitions, WAL replay and snapshot import all come through
+// here — so the open-work index cannot drift from the states it indexes.
+// The instance enters its stripe's index when it becomes active and
+// leaves (swap-remove) when it closes. Must be called with the owning
+// stripe locked. The assignee is not routed through here: membership is
+// a function of state alone, and Worklist reads the assignee (like the
+// roles) at read time.
+func (e *Engine) setActState(ai *ActivityInstance, to core.State) {
+	ai.state = to
+	st := e.stripes[ai.proc.stripe]
+	open := isActive(ai.schema.States(), to)
+	switch {
+	case open && ai.openAt == 0:
+		st.open = append(st.open, ai)
+		ai.openAt = len(st.open)
+		e.openActs.Add(1)
+	case !open && ai.openAt != 0:
+		last := len(st.open) - 1
+		moved := st.open[last]
+		st.open[ai.openAt-1] = moved
+		moved.openAt = ai.openAt
+		st.open[last] = nil
+		st.open = st.open[:last]
+		ai.openAt = 0
+		e.openActs.Add(-1)
+	}
 }
 
 func (e *Engine) setCtxFam(ctxID, root string) {
@@ -867,10 +928,10 @@ func (e *Engine) instantiateActivityLocked(p *pending, pi *ProcessInstance, av c
 		// instantiation leaves no partial residue behind.
 		return nil, fmt.Errorf("enact: activity %s: no legal path from %s to Ready", ai.id, ai.state)
 	}
-	pi.acts[av.Name] = append(pi.acts[av.Name], ai)
+	pi.insertAct(ai)
 	e.addAct(ai)
 	old := ai.state
-	ai.state = to
+	e.setActState(ai, to)
 	e.emitActivity(p, ai, old, to, user)
 	return ai, nil
 }
@@ -996,6 +1057,29 @@ func (e *Engine) Instances() []string {
 	return out
 }
 
+// ProcessInfo summarizes one process instance.
+type ProcessInfo struct {
+	ID     string
+	Schema string
+	State  core.State
+}
+
+// ProcessInfos returns id, schema and state of every process instance,
+// sorted by id, read in one pass under the all-stripe lock: every state
+// in the list was current at the same moment.
+func (e *Engine) ProcessInfos() []ProcessInfo {
+	h := e.lockAll()
+	e.idx.RLock()
+	out := make([]ProcessInfo, 0, len(e.procs))
+	for _, pi := range e.procs {
+		out = append(out, ProcessInfo{ID: pi.id, Schema: pi.schema.Name, State: pi.state})
+	}
+	e.idx.RUnlock()
+	h.unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
 // ActivitiesOf returns snapshots of the activity instances of a process
 // instance, sorted by instance id.
 func (e *Engine) ActivitiesOf(processID string) []ActivityInfo {
@@ -1004,13 +1088,10 @@ func (e *Engine) ActivitiesOf(processID string) []ActivityInfo {
 		return nil
 	}
 	h := e.lockStripe(pi.stripe)
-	var out []ActivityInfo
-	for _, list := range pi.acts {
-		for _, ai := range list {
-			out = append(out, snapshot(ai))
-		}
+	defer h.unlock()
+	out := make([]ActivityInfo, 0, len(pi.byID))
+	for _, ai := range pi.byID {
+		out = append(out, snapshot(ai))
 	}
-	h.unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -1,6 +1,7 @@
 package enact
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -908,6 +909,16 @@ func TestInstancesListing(t *testing.T) {
 	ids := f.eng.Instances()
 	if len(ids) != 2 || !strings.HasPrefix(ids[0], "p-") {
 		t.Fatalf("instances = %v", ids)
+	}
+	if err := f.eng.TerminateProcess(ids[1], "dr.reed"); err != nil {
+		t.Fatal(err)
+	}
+	want := []ProcessInfo{
+		{ID: ids[0], Schema: "TaskForce", State: core.Running},
+		{ID: ids[1], Schema: "TaskForce", State: core.Terminated},
+	}
+	if got := f.eng.ProcessInfos(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ProcessInfos = %v, want %v", got, want)
 	}
 	if _, ok := f.eng.Instance("ghost"); ok {
 		t.Fatal("unknown instance found")

@@ -15,7 +15,9 @@ import (
 //   - every emitted activity transition is legal in its state schema;
 //   - stamps are strictly increasing;
 //   - no activity of a process transitions after the process closed;
-//   - a closed process never reopens.
+//   - a closed process never reopens;
+//   - after every operation the indexed reads equal the oracle's
+//     (checkReads).
 func TestRandomOperationInvariants(t *testing.T) {
 	f := newFixture(t)
 	f.register(t, simpleProcess())
@@ -94,6 +96,10 @@ func TestRandomOperationInvariants(t *testing.T) {
 			case 4:
 				_ = f.eng.Terminate(a.ID, u)
 			}
+		}
+		checkReads(t, f.eng, oracleUsers...)
+		if t.Failed() {
+			t.Fatalf("reads diverged from the oracle after op %d", op)
 		}
 	}
 	if len(stream) < 100 {

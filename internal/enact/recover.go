@@ -497,8 +497,9 @@ func (e *Engine) WAL() *WAL {
 }
 
 // CloseWAL seals and closes the attached journal: in-flight commit
-// groups land, then further state-changing operations fail. Idempotent;
-// a nil-WAL engine is a no-op.
+// groups land, then further state-changing operations fail, and an
+// asynchronous compaction still running is waited for. Idempotent; a
+// nil-WAL engine is a no-op.
 func (e *Engine) CloseWAL() error {
 	e.idx.RLock()
 	w := e.wal
@@ -506,7 +507,12 @@ func (e *Engine) CloseWAL() error {
 	if w == nil {
 		return nil
 	}
-	return w.Close()
+	e.compactMu.Lock()
+	e.walClosed = true
+	e.compactMu.Unlock()
+	err := w.Close()
+	e.compactWG.Wait()
+	return err
 }
 
 // maybeCompact triggers an asynchronous compaction when the journal has
@@ -522,7 +528,16 @@ func (e *Engine) maybeCompact() {
 	if !e.compacting.CompareAndSwap(false, true) {
 		return
 	}
+	e.compactMu.Lock()
+	if e.walClosed {
+		e.compactMu.Unlock()
+		e.compacting.Store(false)
+		return
+	}
+	e.compactWG.Add(1)
+	e.compactMu.Unlock()
 	go func() {
+		defer e.compactWG.Done()
 		defer e.compacting.Store(false)
 		_ = e.Compact() // best effort; the journal simply stays longer
 	}()
@@ -696,6 +711,8 @@ func (e *Engine) importSnapshot(snap *snapFile) error {
 		return err
 	}
 	res := newSchemaResolver(snap.Defs, e.schemas)
+	h := e.lockAll() // the open-work index is stripe state
+	defer h.unlock()
 	e.idx.Lock()
 	defer e.idx.Unlock()
 	byID := make(map[string]*snapAct, len(snap.Acts))
@@ -745,17 +762,39 @@ func (e *Engine) importSnapshot(snap *snapFile) error {
 		}
 		e.procs[pi.id] = pi
 	}
-	// Pass 2: parent links and activity instances (creation order per
-	// variable is preserved by the snapshot's id lists).
+	// Pass 2: parent links, then family roots and stripes (the snapshot
+	// predates striping, so recompute from the parent links) — known
+	// before any activity is created, because an open activity is indexed
+	// on its family's stripe — plus the context→family index used to
+	// route set_field records and multi-stripe starts.
+	for _, sp := range snap.Procs {
+		if sp.ParentProc == "" {
+			continue
+		}
+		parent, ok := e.procs[sp.ParentProc]
+		if !ok {
+			return fmt.Errorf("enact: snapshot process %s references missing parent %s", sp.ID, sp.ParentProc)
+		}
+		e.procs[sp.ID].parentProc = parent
+	}
+	for _, pi := range e.procs {
+		top := pi
+		for top.parentProc != nil {
+			top = top.parentProc
+		}
+		pi.root = top.id
+		pi.stripe = e.stripeOf(top.id)
+	}
+	for _, pi := range e.procs {
+		for _, id := range pi.ownedCtxs {
+			e.ctxFam[id] = pi.root
+		}
+	}
+	// Pass 3: activity instances (creation order per variable is
+	// preserved by the snapshot's id lists), entering the open-work index
+	// through the same setter live transitions use.
 	for _, sp := range snap.Procs {
 		pi := e.procs[sp.ID]
-		if sp.ParentProc != "" {
-			parent, ok := e.procs[sp.ParentProc]
-			if !ok {
-				return fmt.Errorf("enact: snapshot process %s references missing parent %s", sp.ID, sp.ParentProc)
-			}
-			pi.parentProc = parent
-		}
 		for v, list := range sp.Acts {
 			av, ok := pi.activityVar(v)
 			if !ok {
@@ -768,18 +807,18 @@ func (e *Engine) importSnapshot(snap *snapFile) error {
 				}
 				ai := &ActivityInstance{
 					id:       sa.ID,
-					varName:  sa.Var,
+					varName:  v,
 					schema:   av.Schema,
 					proc:     pi,
-					state:    core.State(sa.State),
 					assignee: sa.Assignee,
 				}
-				pi.acts[v] = append(pi.acts[v], ai)
+				pi.insertAct(ai)
 				e.activities[ai.id] = ai
+				e.setActState(ai, core.State(sa.State))
 			}
 		}
 	}
-	// Pass 3: subprocess child links (a child shares its invoking
+	// Pass 4: subprocess child links (a child shares its invoking
 	// activity's id).
 	for _, sa := range snap.Acts {
 		if sa.Child {
@@ -789,22 +828,6 @@ func (e *Engine) importSnapshot(snap *snapFile) error {
 				return fmt.Errorf("enact: snapshot activity %s marks a missing subprocess", sa.ID)
 			}
 			ai.child = child
-		}
-	}
-	// Pass 4: family roots and stripes (the snapshot predates striping,
-	// so recompute from the parent links), plus the context→family index
-	// used to route set_field records and multi-stripe starts.
-	for _, pi := range e.procs {
-		top := pi
-		for top.parentProc != nil {
-			top = top.parentProc
-		}
-		pi.root = top.id
-		pi.stripe = e.stripeOf(top.id)
-	}
-	for _, pi := range e.procs {
-		for _, id := range pi.ownedCtxs {
-			e.ctxFam[id] = pi.root
 		}
 	}
 	e.nextProc.Store(int64(snap.NextProc))

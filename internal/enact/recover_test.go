@@ -46,6 +46,13 @@ func newWALFixture(t *testing.T, snapEvery int) *walFixture {
 // succeed even though no participant holds any role.
 func (wf *walFixture) reopen(t *testing.T) (*fixture, RecoveryStats) {
 	t.Helper()
+	return wf.reopenStriped(t, 1)
+}
+
+// reopenStriped is reopen into an engine with the given stripe count;
+// above one, replay takes the parallel family lanes.
+func (wf *walFixture) reopenStriped(t *testing.T, stripes int) (*fixture, RecoveryStats) {
+	t.Helper()
 	if err := wf.eng.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +62,7 @@ func (wf *walFixture) reopen(t *testing.T) (*fixture, RecoveryStats) {
 		dir:     core.NewDirectory(),
 	}
 	g.contexts = core.NewRegistry(g.clk)
-	g.eng = New(g.clk, g.schemas, g.dir, g.contexts)
+	g.eng = NewStriped(g.clk, g.schemas, g.dir, g.contexts, stripes)
 	stats, err := g.eng.Recover(wf.snapPath, wf.walPath)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package enact
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -36,6 +37,9 @@ func stripedProcess() *core.ProcessSchema {
 // against the striped engine with an attached WAL, then checks the
 // tentpole's core ordering property and the recovery equivalences:
 //
+//   - after every operation of every worker, the indexed Worklist and
+//     the id-ordered Monitor equal their full-scan and sort-based
+//     references (checkReads), as they do on each recovered engine;
 //   - the journal is a legal linearization: for every family, the
 //     subsequence of journal records touching it equals the owning
 //     worker's program order (records are staged under the family's
@@ -107,16 +111,19 @@ func runStripedProperty(t *testing.T, stripes int) {
 					return
 				}
 				fl.ops = append(fl.ops, "instantiate "+ai.ID)
+				checkReads(t, eng, "op")
 				if err := eng.Start(ai.ID, "op"); err != nil {
 					errCh <- err
 					return
 				}
 				fl.ops = append(fl.ops, "start "+ai.ID)
+				checkReads(t, eng, "op")
 				if err := eng.Complete(ai.ID, "op"); err != nil {
 					errCh <- err
 					return
 				}
 				fl.ops = append(fl.ops, "complete "+ai.ID)
+				checkReads(t, eng, "op")
 				if i%3 == 0 {
 					ctxID, ok := eng.ContextID(fl.fam, "sc")
 					if !ok {
@@ -141,6 +148,7 @@ func runStripedProperty(t *testing.T, stripes int) {
 	}
 
 	live := dump(eng)
+	liveWork := eng.Worklist("op")
 	if err := eng.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +229,10 @@ func runStripedProperty(t *testing.T, stripes int) {
 		}
 		if rs > 1 && stats.Lanes != rs {
 			t.Fatalf("recover with %d stripes replayed in %d lanes, want the parallel path", rs, stats.Lanes)
+		}
+		checkReads(t, g, "op")
+		if got := g.Worklist("op"); !reflect.DeepEqual(got, liveWork) {
+			t.Errorf("recovery with %d stripes: Worklist = %v, live engine's was %v", rs, got, liveWork)
 		}
 		if d := dump(g); d != live {
 			t.Errorf("recovery with %d stripes diverged from live state:\n--- live ---\n%s--- recovered ---\n%s",

@@ -230,7 +230,7 @@ func (e *Engine) transition(activityID string, to core.State, user string, src *
 			return fmt.Errorf("enact: activity %s: illegal transition %s -> %s", activityID, ai.state, to)
 		}
 		old := ai.state
-		ai.state = to
+		e.setActState(ai, to)
 		e.emitActivity(p, ai, old, to, user)
 		if states.IsSubstateOf(to, core.Completed) {
 			if err := e.fireDependenciesLocked(p, ai.proc, ai.varName, user); err != nil {
@@ -255,7 +255,7 @@ func (e *Engine) transitionActivityLocked(p *pending, ai *ActivityInstance, inte
 		return fmt.Errorf("enact: activity %s: illegal transition %s -> %s", ai.id, ai.state, intent)
 	}
 	old := ai.state
-	ai.state = to
+	e.setActState(ai, to)
 	e.emitActivity(p, ai, old, to, user)
 	return nil
 }
@@ -515,7 +515,7 @@ func (e *Engine) closeProcessLocked(p *pending, pi *ProcessInstance, intent core
 	if !ok {
 		return nil
 	}
-	parentAct.state = pi.state // keep the shared identity consistent; no duplicate event
+	e.setActState(parentAct, pi.state) // keep the shared identity consistent; no duplicate event
 	if intent == core.Completed {
 		if err := e.fireDependenciesLocked(p, pi.parentProc, pi.parentVar, user); err != nil {
 			return err

@@ -1,7 +1,8 @@
 package enact
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/mcc-cmi/cmi/internal/core"
 )
@@ -20,41 +21,27 @@ type WorkItem struct {
 }
 
 // Worklist returns the participant's current work items, sorted by
-// activity instance id. It reads every family, so it takes the
-// all-stripe lock for a consistent cross-family view.
+// activity instance id. Work items span every family, so it takes the
+// all-stripe lock for one consistent cross-family view — but under that
+// hold it visits only the open-work index (the activities that are
+// Ready, Running or Suspended right now), never the closed history: the
+// hold lasts as long as there is open work, however long the engine has
+// been running. Who may start a Ready activity is resolved at read
+// time, because org and scoped roles can change after it became Ready.
 func (e *Engine) Worklist(participantID string) []WorkItem {
 	h := e.lockAll()
 	defer h.unlock()
-	e.idx.RLock()
-	defer e.idx.RUnlock()
+	return e.worklistHeld(participantID)
+}
+
+// worklistHeld is Worklist under an all-stripe hold.
+func (e *Engine) worklistHeld(participantID string) []WorkItem {
 	var out []WorkItem
-	for _, ai := range e.activities {
-		states := ai.schema.States()
-		var include bool
-		switch {
-		case states.IsSubstateOf(ai.state, core.Ready):
-			if ai.assignee != "" {
-				include = ai.assignee == participantID
-				break
+	for _, st := range e.stripes {
+		for _, ai := range st.open {
+			if !e.mayWorkOn(ai, participantID) {
+				continue
 			}
-			role := performerRole(ai.schema)
-			if role == "" {
-				include = false // automatic activity; not human work
-				break
-			}
-			ids, err := e.contexts.ResolveRole(e.dir, role, ai.proc.Ref())
-			if err == nil {
-				for _, id := range ids {
-					if id == participantID {
-						include = true
-						break
-					}
-				}
-			}
-		case states.IsSubstateOf(ai.state, core.Running) || states.IsSubstateOf(ai.state, core.Suspended):
-			include = ai.assignee == participantID
-		}
-		if include {
 			out = append(out, WorkItem{
 				ActivityID:    ai.id,
 				Var:           ai.varName,
@@ -65,8 +52,31 @@ func (e *Engine) Worklist(participantID string) []WorkItem {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ActivityID < out[j].ActivityID })
+	slices.SortFunc(out, func(a, b WorkItem) int { return strings.Compare(a.ActivityID, b.ActivityID) })
 	return out
+}
+
+// mayWorkOn reports whether the open activity belongs on the
+// participant's worklist: assigned to them, or Ready, unassigned and
+// theirs to start by performer role. Automatic activities (no performer
+// role) are nobody's work.
+func (e *Engine) mayWorkOn(ai *ActivityInstance, participantID string) bool {
+	states := ai.schema.States()
+	switch {
+	case states.IsSubstateOf(ai.state, core.Ready):
+		if ai.assignee != "" {
+			return ai.assignee == participantID
+		}
+		role := performerRole(ai.schema)
+		if role == "" {
+			return false
+		}
+		ids, err := e.contexts.ResolveRole(e.dir, role, ai.proc.Ref())
+		return err == nil && containsString(ids, participantID)
+	case states.IsSubstateOf(ai.state, core.Running) || states.IsSubstateOf(ai.state, core.Suspended):
+		return ai.assignee == participantID
+	}
+	return false
 }
 
 // MonitorRow is one row of the process monitoring tool: the full status of
@@ -82,45 +92,57 @@ type MonitorRow struct {
 
 // Monitor returns the status of every activity instance of the process,
 // recursing into running and closed subprocesses — the "managers monitor
-// the entire process" view that WfMSs build in (Section 2).
+// the entire process" view that WfMSs build in (Section 2). Rows are
+// ordered by process id, then activity id.
 func (e *Engine) Monitor(processID string) []MonitorRow {
 	// Monitoring recurses through one process family only, so its
-	// stripe lock gives a consistent view.
+	// stripe lock gives a consistent view; it is held for the copy only.
 	pi, ok := e.proc(processID)
 	if !ok {
 		return nil
 	}
 	h := e.lockStripe(pi.stripe)
 	defer h.unlock()
-	var out []MonitorRow
-	e.monitorLocked(processID, &out)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ProcessID != out[j].ProcessID {
-			return out[i].ProcessID < out[j].ProcessID
-		}
-		return out[i].ActivityID < out[j].ActivityID
-	})
-	return out
+	return monitorHeld(pi)
 }
 
-func (e *Engine) monitorLocked(processID string, out *[]MonitorRow) {
-	pi, ok := e.proc(processID)
-	if !ok {
-		return
+// monitorHeld is Monitor under the family's stripe lock. Each process
+// keeps its rows in id order, so only the handful of process ids of the
+// subtree are sorted; the rows are one linear copy into a pre-sized
+// result.
+func monitorHeld(pi *ProcessInstance) []MonitorRow {
+	procs, n := pi.subtree(nil)
+	if n == 0 {
+		return nil
 	}
-	for _, av := range pi.allActivityVars() {
-		for _, ai := range pi.acts[av.Name] {
-			*out = append(*out, MonitorRow{
-				ProcessID:     pi.id,
-				ProcessSchema: pi.schema.Name,
+	slices.SortFunc(procs, func(a, b *ProcessInstance) int { return strings.Compare(a.id, b.id) })
+	out := make([]MonitorRow, 0, n)
+	for _, p := range procs {
+		for _, ai := range p.byID {
+			out = append(out, MonitorRow{
+				ProcessID:     p.id,
+				ProcessSchema: p.schema.Name,
 				ActivityID:    ai.id,
 				Var:           ai.varName,
 				State:         ai.state,
 				Assignee:      ai.assignee,
 			})
-			if ai.child != nil {
-				e.monitorLocked(ai.child.id, out)
-			}
 		}
 	}
+	return out
+}
+
+// subtree appends pi and every started subprocess beneath it to procs,
+// and returns the number of activity instances they hold together.
+func (pi *ProcessInstance) subtree(procs []*ProcessInstance) ([]*ProcessInstance, int) {
+	procs = append(procs, pi)
+	n := len(pi.byID)
+	for _, ai := range pi.byID {
+		if ai.child != nil {
+			var m int
+			procs, m = ai.child.subtree(procs)
+			n += m
+		}
+	}
+	return procs, n
 }

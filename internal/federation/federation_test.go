@@ -170,6 +170,10 @@ func TestFederationEndToEnd(t *testing.T) {
 	if len(wl) != 1 || wl[0].Var != "Organize" {
 		t.Fatalf("worklist = %v", wl)
 	}
+	// The hand-encoded list body is what encoding/json would send.
+	if _, body := get(t, r.srv.URL+"/api/worklist/leader"); body != string(encodeLikeWriteJSON(t, r.sys.Worklist("leader"))) {
+		t.Fatalf("worklist body is not encoding/json's: %s", body)
+	}
 	if err := leader.Start(wl[0].ActivityID); err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +194,10 @@ func TestFederationEndToEnd(t *testing.T) {
 	}
 	if reqID == "" {
 		t.Fatalf("monitor rows = %v", rows)
+	}
+	// The hand-encoded list body is what encoding/json would send.
+	if _, body := get(t, r.srv.URL+"/api/processes/"+piID+"/monitor"); body != string(encodeLikeWriteJSON(t, r.sys.Coordination().Monitor(piID))) {
+		t.Fatalf("monitor body is not encoding/json's: %s", body)
 	}
 	if err := leader.Start(reqID); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 
 	"github.com/mcc-cmi/cmi/internal/core"
 	"github.com/mcc-cmi/cmi/internal/delivery"
-	"github.com/mcc-cmi/cmi/internal/enact"
 	"github.com/mcc-cmi/cmi/internal/obs"
 	"github.com/mcc-cmi/cmi/internal/system"
 )
@@ -409,24 +408,17 @@ type ProcessInfo struct {
 }
 
 func (s *Server) getProcesses(w http.ResponseWriter, r *http.Request) {
-	out := []ProcessInfo{} // empty list encodes as [], never null
-	for _, id := range s.sys.Coordination().Instances() {
-		pi, ok := s.sys.Coordination().Instance(id)
-		if !ok {
-			continue
-		}
-		st, _ := s.sys.Coordination().ProcessState(id)
-		out = append(out, ProcessInfo{ID: id, Schema: pi.Schema().Name, State: string(st)})
+	infos := s.sys.Coordination().ProcessInfos()
+	out := make([]ProcessInfo, len(infos)) // empty list encodes as [], never null
+	for i, pi := range infos {
+		out[i] = ProcessInfo{ID: pi.ID, Schema: pi.Schema, State: string(pi.State)}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) getMonitor(w http.ResponseWriter, r *http.Request) {
 	rows := s.sys.Coordination().Monitor(r.PathValue("id"))
-	if rows == nil {
-		rows = []enact.MonitorRow{} // empty list encodes as [], never null
-	}
-	writeJSON(w, http.StatusOK, rows)
+	writeListBody(w, appendMonitorRows(listBuf(len(rows)), rows))
 }
 
 // InstantiateRequest creates another instance of a repeatable activity.
@@ -450,10 +442,7 @@ func (s *Server) postInstantiate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) getWorklist(w http.ResponseWriter, r *http.Request) {
 	items := s.sys.Worklist(r.PathValue("participant"))
-	if items == nil {
-		items = []enact.WorkItem{}
-	}
-	writeJSON(w, http.StatusOK, items)
+	writeListBody(w, appendWorkItems(listBuf(len(items)), items))
 }
 
 // ActivityOpRequest names the acting user.

@@ -192,6 +192,13 @@ func crashDump(s *System) string {
 			fmt.Fprintf(&b, "  ctx %s Tally=%v\n", ctxID, tally)
 		}
 	}
+	// The worklists are served from the open-work index, which recovery
+	// rebuilds rather than restores: two recoveries must rebuild the same.
+	for _, u := range crashCrew {
+		for _, it := range s.Worklist(u) {
+			fmt.Fprintf(&b, "work %s %s %s %s\n", u, it.ActivityID, it.Var, it.State)
+		}
+	}
 	return b.String()
 }
 
