@@ -6,7 +6,6 @@ package cmi_test
 import (
 	"fmt"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 
@@ -20,7 +19,6 @@ import (
 	"github.com/mcc-cmi/cmi/internal/event"
 	"github.com/mcc-cmi/cmi/internal/federation"
 	"github.com/mcc-cmi/cmi/internal/monitor"
-	"github.com/mcc-cmi/cmi/internal/obs"
 	"github.com/mcc-cmi/cmi/internal/pubsub"
 	"github.com/mcc-cmi/cmi/internal/service"
 	"github.com/mcc-cmi/cmi/internal/vclock"
@@ -622,69 +620,5 @@ func BenchmarkAuditRecord(b *testing.B) {
 	recorded, failed := rec.Stats()
 	if recorded != uint64(b.N) || failed != 0 {
 		b.Fatalf("stats = %d, %d", recorded, failed)
-	}
-}
-
-// benchAwarenessSharded pushes the many-instance ingest workload (512
-// independent process instances, one detection per event, each pushed to
-// a simulated 1ms remote client and durably journaled per shard) through
-// the sharded awareness pipeline. Sharding overlaps the per-detection
-// delivery waits of distinct instances; see cmd/cmibench -exp awareness
-// for the recorded scaling curve. Each run is fully instrumented (a
-// metrics registry records every injected event and detection latency),
-// guarding the allocation-free hot path: the numbers must hold with
-// observability on.
-func benchAwarenessSharded(b *testing.B, shards int) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		reg := obs.NewRegistry()
-		res, err := crisis.RunIngest(crisis.IngestConfig{
-			Shards:            shards,
-			Instances:         512,
-			EventsPerInstance: 1,
-			Dir:               b.TempDir(),
-			DeliveryLatency:   time.Millisecond,
-			Metrics:           reg,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		injected := uint64(0)
-		for s := 0; s < shards; s++ {
-			injected += reg.Counter("cmi_cedmos_injected_total", "", obs.L("shard", strconv.Itoa(s))).Value()
-		}
-		if injected != uint64(res.Events) {
-			b.Fatalf("instrumentation recorded %d injected events, want %d", injected, res.Events)
-		}
-		if i == 0 {
-			b.ReportMetric(res.EventsPerSec, "events/sec")
-		}
-	}
-}
-
-func BenchmarkAwarenessSharded1(b *testing.B) { benchAwarenessSharded(b, 1) }
-func BenchmarkAwarenessSharded2(b *testing.B) { benchAwarenessSharded(b, 2) }
-func BenchmarkAwarenessSharded4(b *testing.B) { benchAwarenessSharded(b, 4) }
-func BenchmarkAwarenessSharded8(b *testing.B) { benchAwarenessSharded(b, 8) }
-
-// BenchmarkAwarenessIngestInline measures the synchronous (Shards<=1,
-// no pool) detection hot path on the same many-instance workload with no
-// delivery latency and no journal — the pure type-indexed InjectEvent
-// cost the seed engine is compared against.
-func BenchmarkAwarenessIngestInline(b *testing.B) {
-	proc := crisis.IngestProcessSchema()
-	eng := awareness.NewEngine(event.ConsumerFunc(func(event.Event) {}), awareness.Options{})
-	if err := eng.Define(crisis.IngestSchemas(proc)...); err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Stop()
-	events := crisis.IngestEvents(vclock.NewVirtual(), 512, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Consume(events[i%len(events)])
 	}
 }

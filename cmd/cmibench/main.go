@@ -4,23 +4,17 @@
 //
 // Usage:
 //
-//	cmibench [-exp all|fig1|fig3|fig4|sec54|sec7|overload|ablation|audit|awareness|federation|recovery|streaming|enact|gate]
+//	cmibench [-exp all|fig1|fig3|fig4|sec54|sec7|overload|ablation|audit]
 //
-// With -mutexprofile FILE / -blockprofile FILE, mutex-contention and
-// goroutine-blocking profiles of the selected experiments are written
-// on exit (profiling rates are enabled only when the flags are set).
+// Performance is measured end to end by the pipeline benchmark in bench/
+// (see BENCHMARK.json); profile a running daemon with cmid -pprof.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -29,91 +23,46 @@ import (
 	"github.com/mcc-cmi/cmi/internal/awareness"
 	"github.com/mcc-cmi/cmi/internal/core"
 	"github.com/mcc-cmi/cmi/internal/crisis"
-	"github.com/mcc-cmi/cmi/internal/delivery"
 	"github.com/mcc-cmi/cmi/internal/event"
-	"github.com/mcc-cmi/cmi/internal/obs"
 	"github.com/mcc-cmi/cmi/internal/vclock"
 	"github.com/mcc-cmi/cmi/internal/wfms"
 )
 
-// benchSmoke shrinks the awareness experiment to a compile-and-run smoke
-// (tiny workload, single rep, no BENCH_*.json rewrite) for `make
-// bench-smoke`.
-var benchSmoke bool
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cmibench: ")
-	exp := flag.String("exp", "all", "experiment: all|fig1|fig3|fig4|sec54|sec7|overload|ablation|audit|awareness|federation|recovery|streaming|enact|gate")
-	smoke := flag.Bool("smoke", false, "short smoke run: tiny workload, one rep, BENCH_*.json left untouched (awareness experiment)")
-	handicap := flag.Float64("gate-handicap", 1, "scale measured numbers by this factor before the gate comparison (negative self-test)")
-	mutexProf := flag.String("mutexprofile", "", "write a mutex-contention profile of the selected experiments to this file")
-	blockProf := flag.String("blockprofile", "", "write a goroutine-blocking profile of the selected experiments to this file")
+	exp := flag.String("exp", "all", "experiment: all|fig1|fig3|fig4|sec54|sec7|overload|ablation|audit")
 	flag.Parse()
-	benchSmoke = *smoke
-	gateHandicap = *handicap
-	if *mutexProf != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
-	if *blockProf != "" {
-		runtime.SetBlockProfileRate(1)
-	}
-	defer writeProfiles(*mutexProf, *blockProf)
 
-	exps := map[string]func() error{
-		"fig1":       fig1,
-		"fig3":       fig3,
-		"fig4":       fig4,
-		"sec54":      sec54,
-		"sec7":       sec7,
-		"overload":   overload,
-		"ablation":   ablation,
-		"audit":      auditVsLive,
-		"awareness":  awarenessSharded,
-		"federation": federationResilience,
-		"recovery":   recoveryBench,
-		"streaming":  streamingSessions,
-		"enact":      enactParallel,
-		"gate":       gate,
+	exps := []struct {
+		name string
+		run  func() error
+	}{
+		{"fig1", fig1},
+		{"fig3", fig3},
+		{"fig4", fig4},
+		{"sec54", sec54},
+		{"sec7", sec7},
+		{"overload", overload},
+		{"ablation", ablation},
+		{"audit", auditVsLive},
 	}
-	if *exp == "all" {
-		for _, name := range []string{"fig1", "fig3", "fig4", "sec54", "sec7", "overload", "ablation", "audit", "awareness", "federation", "recovery", "streaming", "enact"} {
-			if err := exps[name](); err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
+	ran := false
+	for _, e := range exps {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
+		if err := e.run(); err != nil {
+			log.Fatalf("%s: %v", e.name, err)
+		}
+		if *exp == "all" {
 			fmt.Println()
 		}
-		return
+		ran = true
 	}
-	fn, ok := exps[*exp]
-	if !ok {
+	if !ran {
 		log.Fatalf("unknown experiment %q", *exp)
 	}
-	if err := fn(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// writeProfiles dumps the requested runtime profiles; empty paths skip.
-func writeProfiles(mutexPath, blockPath string) {
-	write := func(profile, path string) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			log.Printf("%s profile: %v", profile, err)
-			return
-		}
-		defer f.Close()
-		if err := pprof.Lookup(profile).WriteTo(f, 0); err != nil {
-			log.Printf("%s profile: %v", profile, err)
-			return
-		}
-		fmt.Printf("wrote %s profile to %s\n", profile, path)
-	}
-	write("mutex", mutexPath)
-	write("block", blockPath)
 }
 
 func header(title string) {
@@ -500,9 +449,6 @@ func ablation() error {
 	return nil
 }
 
-// keep imports tidy when experiments evolve.
-var _ = sort.Strings
-
 // auditVsLive contrasts the Section 2 "analyze the process monitoring
 // logs" path with CMI's live awareness: the same detection logic runs
 // over the audit journal after the fact and finds the same violation,
@@ -602,311 +548,5 @@ func auditVsLive() error {
 		"log analysis (replayed)", offline, analysisAt.Sub(liveAt).Hours())
 	fmt.Println("\nthe monitoring-log path finds the same composite condition, but only when")
 	fmt.Println("someone runs the analysis — Section 2's argument for built-in, live awareness.")
-	return nil
-}
-
-// awarenessSharded measures the sharded awareness detection pipeline on
-// the many-instance ingest workload: 512 independent process instances,
-// every event producing one detection. Two curves, per shard count:
-//
-//   - remote delivery: each detection is pushed synchronously to a
-//     simulated remote client tool (a fixed 1ms service latency modeling
-//     the paper's CORBA notification delivery, Section 6.5) and then
-//     durably journaled. Sharding overlaps the delivery waits of
-//     distinct process instances — the pipeline property the tentpole
-//     builds — so throughput scales with shard count.
-//   - local journal: the delivery wait removed; each detection fans out
-//     through the delivery store's group-commit journal (fsync per
-//     commit group). The shards share one participant queue, so the
-//     curve only scales if concurrent appends coalesce their fsyncs —
-//     which is exactly what the group-commit writer does: while one
-//     commit group's fsync is in flight, the other shards' records
-//     accumulate in the next group.
-//
-// It writes BENCH_awareness.json — events/sec per shard count for both
-// curves — to seed the performance trajectory. With -smoke the workload
-// shrinks to a single-rep compile-and-run check and the JSON is left
-// untouched.
-func awarenessSharded() error {
-	header("Sharded awareness detection — many-instance ingest throughput")
-	type point struct {
-		Shards       int     `json:"shards"`
-		Events       int     `json:"events"`
-		ElapsedMS    float64 `json:"elapsedMs"`
-		EventsPerSec float64 `json:"eventsPerSec"`
-		Speedup      float64 `json:"speedupVs1"`
-	}
-	instances := 512
-	shardCounts := []int{1, 2, 4, 8}
-	remoteReps, localReps := 2, 3
-	if benchSmoke {
-		instances = 64
-		shardCounts = []int{1, 4}
-		remoteReps, localReps = 1, 1
-	}
-	run := func(label string, latency time.Duration, reps int, storeBacked bool) ([]point, error) {
-		var (
-			points []point
-			base   float64
-		)
-		fmt.Printf("%s:\n", label)
-		fmt.Printf("  %-8s %-10s %-12s %-14s %s\n", "shards", "events", "elapsed", "events/sec", "speedup")
-		for _, shards := range shardCounts {
-			// Best of reps runs: the workload journals durably, so
-			// individual runs are I/O-noisy. Each rep gets a fresh state
-			// directory — a store-backed rep would otherwise replay the
-			// previous rep's queue journal on open.
-			var best crisis.IngestResult
-			for rep := 0; rep < reps; rep++ {
-				dir, err := os.MkdirTemp("", "cmi-ingest-*")
-				if err != nil {
-					return nil, err
-				}
-				cfg := crisis.IngestConfig{
-					Shards: shards, Instances: instances, EventsPerInstance: 4, Dir: dir,
-					DeliveryLatency: latency,
-				}
-				var st *delivery.Store
-				if storeBacked {
-					if st, err = delivery.NewStoreWith(dir, delivery.StoreOptions{Sync: true}); err != nil {
-						os.RemoveAll(dir)
-						return nil, err
-					}
-					cfg.Store = st
-				}
-				res, err := crisis.RunIngest(cfg)
-				if st != nil {
-					st.Close()
-				}
-				os.RemoveAll(dir)
-				if err != nil {
-					return nil, err
-				}
-				if res.EventsPerSec > best.EventsPerSec {
-					best = res
-				}
-			}
-			if shards == shardCounts[0] {
-				base = best.EventsPerSec
-			}
-			speedup := best.EventsPerSec / base
-			fmt.Printf("  %-8d %-10d %-12s %-14.0f %.2fx\n",
-				shards, best.Events, best.Elapsed.Round(time.Millisecond), best.EventsPerSec, speedup)
-			points = append(points, point{
-				Shards:       shards,
-				Events:       best.Events,
-				ElapsedMS:    float64(best.Elapsed.Microseconds()) / 1000,
-				EventsPerSec: best.EventsPerSec,
-				Speedup:      speedup,
-			})
-		}
-		fmt.Println()
-		return points, nil
-	}
-	remote, err := run("remote delivery (1ms simulated push per detection + durable journal)", time.Millisecond, remoteReps, false)
-	if err != nil {
-		return err
-	}
-	local, err := run("local journal (delivery store fan-out, fsync per group commit)", 0, localReps, true)
-	if err != nil {
-		return err
-	}
-	if benchSmoke {
-		fmt.Println("smoke run: BENCH_awareness.json left untouched")
-	} else {
-		out := struct {
-			Benchmark      string    `json:"benchmark"`
-			Meta           benchMeta `json:"meta"`
-			RemoteDelivery []point   `json:"remoteDelivery"`
-			LocalJournal   []point   `json:"localJournal"`
-		}{
-			Benchmark:      "awareness-sharded-ingest",
-			Meta:           newBenchMeta("512 instances x 4 events; remoteDelivery: 1ms simulated remote push + durable journal per detection; localJournal: delivery-store fan-out to one shared queue, fsync per group commit"),
-			RemoteDelivery: remote,
-			LocalJournal:   local,
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile("BENCH_awareness.json", append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_awareness.json")
-	}
-
-	// One instrumented store-backed 4-shard run: print the counter series
-	// the operations endpoint (/api/metrics) would expose for this
-	// workload, demonstrating that instrumentation observes the sharded
-	// pipeline — including the delivery store's commit-group counters.
-	reg := obs.NewRegistry()
-	dir, err := os.MkdirTemp("", "cmi-ingest-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	st, err := delivery.NewStoreWith(dir, delivery.StoreOptions{Sync: true})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	if _, err := crisis.RunIngest(crisis.IngestConfig{
-		Shards: 4, Instances: instances, EventsPerInstance: 4, Dir: dir, Metrics: reg, Store: st,
-	}); err != nil {
-		return err
-	}
-	var b strings.Builder
-	if _, err := reg.WriteTo(&b); err != nil {
-		return err
-	}
-	fmt.Println("\nmetrics snapshot (instrumented 4-shard run, counters only):")
-	for _, line := range strings.Split(b.String(), "\n") {
-		if strings.HasPrefix(line, "cmi_") && strings.Contains(line, "_total") {
-			fmt.Printf("  %s\n", line)
-		}
-	}
-	return nil
-}
-
-// recoverySpec is the workload model for the recovery experiment: a
-// tiny pool of long-lived processes whose context takes the bulk of the
-// writes, so the journal (history) grows far past the live state.
-const recoverySpec = `
-contextschema BenchCtx {
-    int Tally
-}
-process Bench {
-    context bc BenchCtx
-    activity Step role org Crew
-}
-`
-
-// recoveryBench measures restart time against journal length, with
-// snapshot+truncate compaction off (replay the whole history) and on
-// (load the snapshot, replay only the tail since the last compaction).
-// The paper's crisis scenarios assume the infrastructure survives
-// "breakdowns of any kind" (Section 2); this experiment quantifies the
-// cost of coming back. It writes BENCH_recovery.json.
-func recoveryBench() error {
-	header("Crash recovery — restart time vs journal length, snapshot on/off")
-	type point struct {
-		Ops        int     `json:"ops"`
-		WALRecords int     `json:"walRecords"`
-		Snapshot   bool    `json:"snapshotLoaded"`
-		Replayed   int     `json:"replayed"`
-		Skipped    int     `json:"skipped"`
-		RecoveryMS float64 `json:"recoveryMs"`
-	}
-	opCounts := []int{1000, 4000, 16000}
-	if benchSmoke {
-		opCounts = []int{200}
-	}
-	const pool = 8 // live processes; history grows, state does not
-	run := func(snapEvery int, label string) ([]point, error) {
-		fmt.Printf("%s:\n", label)
-		fmt.Printf("  %-8s %-12s %-10s %-10s %s\n", "ops", "walRecords", "replayed", "skipped", "recovery")
-		var points []point
-		for _, ops := range opCounts {
-			dir, err := os.MkdirTemp("", "cmi-recovery-*")
-			if err != nil {
-				return nil, err
-			}
-			s, err := cmi.New(cmi.Config{StateDir: dir, SnapshotEvery: snapEvery})
-			if err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			seed := func() error {
-				if _, err := s.LoadSpec(recoverySpec); err != nil {
-					return err
-				}
-				if err := s.AddHuman("op", "Operator"); err != nil {
-					return err
-				}
-				if err := s.AssignRole("Crew", "op"); err != nil {
-					return err
-				}
-				if err := s.Start(); err != nil {
-					return err
-				}
-				var ids []string
-				for i := 0; i < pool; i++ {
-					pi, err := s.StartProcess("Bench", "op")
-					if err != nil {
-						return err
-					}
-					ids = append(ids, pi.ID())
-				}
-				for i := 0; i < ops; i++ {
-					if err := s.SetContextField(ids[i%pool], "bc", "Tally", i); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			if err := seed(); err != nil {
-				s.Close()
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			if err := s.Close(); err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			s2, err := cmi.New(cmi.Config{StateDir: dir, SnapshotEvery: snapEvery})
-			if err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			rec := s2.Recovery()
-			s2.Close()
-			os.RemoveAll(dir)
-			p := point{
-				Ops:        ops,
-				WALRecords: rec.Replayed + rec.Skipped,
-				Snapshot:   rec.SnapshotLoaded,
-				Replayed:   rec.Replayed,
-				Skipped:    rec.Skipped,
-				RecoveryMS: float64(rec.Elapsed.Microseconds()) / 1000,
-			}
-			points = append(points, p)
-			fmt.Printf("  %-8d %-12d %-10d %-10d %.2fms\n",
-				p.Ops, p.WALRecords, p.Replayed, p.Skipped, p.RecoveryMS)
-		}
-		fmt.Println()
-		return points, nil
-	}
-	noSnap, err := run(-1, "compaction off (replay the full history)")
-	if err != nil {
-		return err
-	}
-	snapEvery := 500
-	withSnap, err := run(snapEvery, fmt.Sprintf("compaction on (snapshot every %d records, replay the tail)", snapEvery))
-	if err != nil {
-		return err
-	}
-	if benchSmoke {
-		fmt.Println("smoke run: BENCH_recovery.json left untouched")
-		return nil
-	}
-	out := struct {
-		Benchmark  string    `json:"benchmark"`
-		Meta       benchMeta `json:"meta"`
-		NoSnapshot []point   `json:"noSnapshot"`
-		Snapshot   []point   `json:"snapshot"`
-	}{
-		Benchmark:  "enactment-recovery",
-		Meta:       newBenchMeta(fmt.Sprintf("%d live processes, N context-field writes; recovery = system.New on the state dir; snapshot arm compacts every %d records", pool, snapEvery)),
-		NoSnapshot: noSnap,
-		Snapshot:   withSnap,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_recovery.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_recovery.json")
 	return nil
 }

@@ -50,6 +50,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -113,6 +114,10 @@ func run() error {
 	if *pprofAddr != "" {
 		// The default mux carries the net/http/pprof handlers; serve it on
 		// its own listener so profiling never shares the API address.
+		// Sampled contention/blocking rates give the mutex and block
+		// profiles data at a small, bounded overhead.
+		runtime.SetMutexProfileFraction(100)
+		runtime.SetBlockProfileRate(10000)
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				log.Printf("pprof server: %v", err)

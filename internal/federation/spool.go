@@ -490,7 +490,9 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 			"Time from spooling a remote notification to its delivery.",
 			redeliveryBuckets, lbl)
 	}
-	f.nudge <- struct{}{} // pick up entries journaled by a previous run
+	if f.spool.Depth() > 0 {
+		f.nudge <- struct{}{} // pick up entries journaled by a previous run
+	}
 	f.wg.Add(1)
 	go f.loop()
 	return f, nil
