@@ -2,16 +2,16 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench bench-smoke bench-test crash chaos-e2e chaos-disk fscheck cover docs examples experiments clean
+.PHONY: all check fmt build vet test race bench bench-smoke bench-test crash chaos-e2e chaos-disk fscheck cover docs examples experiments clean
 
-all: build vet test race docs fscheck bench-smoke bench-test crash chaos-e2e chaos-disk
+all: fmt build vet test race docs fscheck bench-smoke bench-test crash chaos-e2e chaos-disk
 
 # The one gate to run before pushing: static checks plus the race-enabled
 # test suite, the docs-consistency guard and the storage-seam gate. The
 # wire package — the binary framing under every durable journal — is
 # vetted and raced explicitly so a narrowed ./... invocation can never
 # silently skip it.
-check: vet race docs fscheck
+check: fmt vet race docs fscheck
 	$(GO) vet ./internal/wire/
 	$(GO) test -race ./internal/wire/
 
@@ -29,6 +29,11 @@ fscheck:
 	else \
 		echo "fscheck: negative self-test ok"; \
 	fi
+
+# Format gate: gofmt must have nothing to rewrite anywhere in the tree
+# (bench/ included).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

@@ -83,7 +83,6 @@ func run() error {
 		addrFile  = flag.String("addr-file", "", "write the bound listen address to this file (for harnesses using -addr with port 0)")
 		state     = flag.String("state", "", "state directory for delivery queues, enactment journal and specs; a restart recovers from it (default: temporary)")
 		start     = flag.Bool("start", false, "start the system immediately after loading -spec files")
-		shards    = flag.Int("shards", 0, "awareness detection shards (0 or 1: synchronous in-line detection)")
 		stripes   = flag.Int("enact-stripes", 0, "enactment engine lock stripes partitioning process families; unrelated families enact concurrently (0: GOMAXPROCS, 1: single global lock)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof profiling endpoints on this address (e.g. localhost:6060; empty: disabled)")
 		syncJ     = flag.Bool("sync-journal", false, "fsync each delivery-journal and enactment-WAL commit group (durable across machine crashes, not just process crashes)")
@@ -141,7 +140,6 @@ func run() error {
 	sys, err := cmi.New(cmi.Config{
 		Clock:         vclock.NewSystem(),
 		StateDir:      *state,
-		Shards:        *shards,
 		SyncJournal:   *syncJ,
 		SnapshotEvery: *snapEvery,
 		StreamBuffer:  *streamBuf,

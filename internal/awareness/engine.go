@@ -3,9 +3,9 @@ package awareness
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/mcc-cmi/cmi/internal/cedmos"
 	"github.com/mcc-cmi/cmi/internal/event"
@@ -66,29 +66,11 @@ type Options struct {
 	// Replicate controls process instance replication of operator state
 	// (Section 5.1.2). It is on by default; turning it off is only for
 	// the E8 ablation, which demonstrates cross-instance mixing errors.
-	// Disabling replication forces Shards to 1: without per-instance
-	// state there is no partition key to shard by.
 	DisableReplication bool
-	// Shards selects the detection mode. With Shards <= 1 (the default)
-	// the engine processes events synchronously inside Consume, exactly
-	// as before. With Shards > 1 the engine runs a sharded detection
-	// pool: Shards independent replicas of the compiled graph, each
-	// driven by its own detector agent, with events partitioned by
-	// process family (see instanceRouter) so per-instance order is
-	// preserved while distinct instances detect in parallel.
-	Shards int
-	// Buffer bounds each shard's input queue (backpressure, not loss);
-	// values < 1 default to 1024. Unused in synchronous mode.
-	Buffer int
-	// ShardSink, if non-nil, supplies a per-shard delivery sink instead
-	// of the shared sink passed to NewEngine — e.g. one persistent
-	// delivery queue per shard, so detections journal in parallel. Only
-	// consulted in sharded mode.
-	ShardSink func(shard int) event.Consumer
 	// Metrics, if non-nil, receives the engine's metric series at Start:
-	// detections per shard, dropped events, shard count, per-operator
-	// consumed/emitted counters, and (in sharded mode) the detector
-	// pool's per-shard series. Hot-path recording is allocation-free.
+	// detections, dropped events, per-event detection latency, and
+	// per-operator consumed/emitted counters. Hot-path recording is
+	// allocation-free.
 	Metrics *obs.Registry
 }
 
@@ -98,26 +80,21 @@ type Options struct {
 // events — complete with delivery instructions — to the awareness
 // delivery sink.
 //
-// In the default synchronous mode event processing happens inside
-// Consume: delivery-role resolution happens "at composite event
-// detection time" (Section 5), which in particular means a scoped role
-// referenced by a detection triggered by the final events of its own
-// scope is still resolvable — the context retires only after the event
-// has been fully processed (see the coordination engine's deferred
-// retirement). In sharded mode (Options.Shards > 1) detection is
-// asynchronous; the same guarantee is preserved by gating context
-// retirement on Quiesce (see internal/system), and Stop drains every
-// shard, so every event accepted before Stop is fully processed.
+// Event processing happens inside Consume: delivery-role resolution
+// happens "at composite event detection time" (Section 5), which in
+// particular means a scoped role referenced by a detection triggered by
+// the final events of its own scope is still resolvable — the context
+// retires only after the event has been fully processed (see the
+// coordination engine's deferred retirement).
 type Engine struct {
 	opts Options
 
 	mu      sync.RWMutex
 	schemas []*Schema
-	graph   *cedmos.Graph // synchronous mode (Shards <= 1)
-	pool    *cedmos.Pool  // sharded mode (Shards > 1)
-	router  *instanceRouter
+	graph   *cedmos.Graph
 	sink    event.Consumer
 	running bool
+	detect  *obs.Histogram // nil when uninstrumented
 
 	dropped atomic.Uint64
 }
@@ -156,19 +133,9 @@ func (e *Engine) Schemas() []string {
 	return out
 }
 
-// Shards returns the effective shard count: Options.Shards normalized,
-// with the E8 ablation (DisableReplication) forcing 1.
-func (e *Engine) Shards() int {
-	if e.opts.DisableReplication || e.opts.Shards <= 1 {
-		return 1
-	}
-	return e.opts.Shards
-}
-
 // Start compiles the defined schemas into one multi-rooted detection
 // graph (the build-time transformation of Section 6.4) and begins
-// accepting events. With Options.Shards > 1 it compiles one replica per
-// shard and launches the detector pool.
+// accepting events.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -178,50 +145,11 @@ func (e *Engine) Start() error {
 	if len(e.schemas) == 0 {
 		return fmt.Errorf("awareness: no awareness schemas defined")
 	}
-	shards := e.Shards()
-	if shards == 1 && e.opts.ShardSink == nil {
-		graph, err := Compile(e.schemas, !e.opts.DisableReplication, e.wrapSink(0, e.sink))
-		if err != nil {
-			return err
-		}
-		e.graph = graph
-		e.running = true
-		e.registerMetricsLocked()
-		return nil
-	}
-	e.router = newInstanceRouter()
-	// Each shard's detections buffer in a per-shard Batcher owned by
-	// that shard's agent goroutine and flushed at its batch-end hook:
-	// a batch-aware sink (the delivery agent) then drains a whole
-	// detection batch with one lock acquisition and one journal
-	// commit-group join instead of one per composite event. Flushing
-	// happens before any quiesce barrier releases and before Stop
-	// observes the drained shard, so the engine's drain guarantees are
-	// unchanged.
-	batchers := make([]*event.Batcher, shards)
-	pool, err := cedmos.NewPool(func(shard int) (*cedmos.Graph, error) {
-		sink := e.sink
-		if e.opts.ShardSink != nil {
-			if s := e.opts.ShardSink(shard); s != nil {
-				sink = s
-			}
-		}
-		batchers[shard] = event.NewBatcher(sink)
-		return Compile(e.schemas, !e.opts.DisableReplication, e.wrapSink(shard, batchers[shard]))
-	}, cedmos.PoolOptions{
-		Shards:   shards,
-		Buffer:   e.opts.Buffer,
-		Route:    e.router.route,
-		BatchEnd: func(shard int) { batchers[shard].Flush() },
-	})
+	graph, err := Compile(e.schemas, !e.opts.DisableReplication, e.wrapSink(e.sink))
 	if err != nil {
 		return err
 	}
-	pool.Instrument(e.opts.Metrics)
-	if err := pool.Start(); err != nil {
-		return err
-	}
-	e.pool = pool
+	e.graph = graph
 	e.running = true
 	e.registerMetricsLocked()
 	return nil
@@ -240,26 +168,25 @@ func (c countingSink) Consume(ev event.Event) {
 	}
 }
 
-// wrapSink interposes the per-shard detection counter when a metrics
-// registry is configured; otherwise the sink passes through untouched.
-func (e *Engine) wrapSink(shard int, sink event.Consumer) event.Consumer {
+// wrapSink interposes the detection counter when a metrics registry is
+// configured; otherwise the sink passes through untouched.
+func (e *Engine) wrapSink(sink event.Consumer) event.Consumer {
 	reg := e.opts.Metrics
 	if reg == nil {
 		return sink
 	}
 	return countingSink{
 		detections: reg.Counter("cmi_awareness_detections_total",
-			"Composite events detected and forwarded to the delivery sink.",
-			obs.L("shard", strconv.Itoa(shard))),
+			"Composite events detected and forwarded to the delivery sink."),
 		inner: sink,
 	}
 }
 
 // registerMetricsLocked publishes the engine-level series: dropped
-// events, shard count, and the per-operator consumed/emitted counters of
-// EngineStats. The counters are sampled at exposition time from the
-// graph's existing atomics, so detection pays nothing extra. Called with
-// e.mu held, after the graph or pool exists.
+// events, detection latency, and the per-operator consumed/emitted
+// counters of EngineStats. The counters are sampled at exposition time
+// from the graph's existing atomics, so detection pays nothing extra.
+// Called with e.mu held, after the graph exists.
 func (e *Engine) registerMetricsLocked() {
 	reg := e.opts.Metrics
 	if reg == nil {
@@ -268,29 +195,20 @@ func (e *Engine) registerMetricsLocked() {
 	reg.CounterFunc("cmi_awareness_dropped_total",
 		"Events that arrived while the awareness engine was not running.",
 		func() float64 { return float64(e.Dropped()) })
-	reg.GaugeFunc("cmi_awareness_shards",
-		"Detection graph replicas (1 in synchronous mode).",
-		func() float64 { return float64(e.Shards()) })
-	var nodes []cedmos.NodeStats
-	switch {
-	case e.pool != nil:
-		nodes = e.pool.Stats()
-	case e.graph != nil:
-		nodes = e.graph.Stats()
-	}
-	for _, ns := range nodes {
+	e.detect = reg.Histogram("cmi_cedmos_detect_seconds",
+		"Per-event detection latency, including the in-line hand-off of detections to the delivery sink.", nil)
+	for _, ns := range e.graph.Stats() {
 		name := ns.Name
 		reg.CounterFunc("cmi_awareness_node_consumed_total",
-			"Events consumed per operator node, aggregated across shards.",
+			"Events consumed per operator node.",
 			func() float64 { return float64(e.nodeStat(name, false)) }, obs.L("node", name))
 		reg.CounterFunc("cmi_awareness_node_emitted_total",
-			"Events emitted per operator node, aggregated across shards.",
+			"Events emitted per operator node.",
 			func() float64 { return float64(e.nodeStat(name, true)) }, obs.L("node", name))
 	}
 }
 
-// nodeStat samples one node's aggregated counter for the metric
-// callbacks.
+// nodeStat samples one node's counter for the metric callbacks.
 func (e *Engine) nodeStat(name string, emitted bool) uint64 {
 	for _, ns := range e.Stats().Nodes {
 		if ns.Name == name {
@@ -303,60 +221,30 @@ func (e *Engine) nodeStat(name string, emitted bool) uint64 {
 	return 0
 }
 
-// Stop stops accepting events. In synchronous mode every event consumed
-// before Stop has already been fully processed; in sharded mode Stop
-// drains every shard queue before returning, so the same holds. Stop is
-// idempotent.
+// Stop stops accepting events. Every event consumed before Stop has
+// already been fully processed. Stop is idempotent.
 func (e *Engine) Stop() {
 	e.mu.Lock()
-	pool := e.pool
+	defer e.mu.Unlock()
 	e.running = false
-	e.mu.Unlock()
-	if pool != nil {
-		pool.Stop()
-	}
 }
 
 // Consume implements event.Consumer: the engine is registered as an
 // observer of the coordination engine (activity events) and the context
-// registry (context events). In synchronous mode the event is pushed
-// through the detection graph before Consume returns; in sharded mode it
-// is queued on its process family's shard (blocking when the shard's
-// buffer is full — backpressure rather than loss). Events arriving
-// before Start or after Stop are dropped and counted (see Dropped).
+// registry (context events). The event is pushed through the detection
+// graph — and every detection it triggers through the delivery sink —
+// before Consume returns. Events arriving before Start or after Stop are
+// dropped and counted (see Dropped).
 func (e *Engine) Consume(ev event.Event) {
-	e.mu.RLock()
-	if e.running && e.pool != nil {
-		err := e.pool.Submit(ev)
-		e.mu.RUnlock()
-		if err != nil {
-			e.dropped.Add(1)
-		}
-		return
-	}
-	e.mu.RUnlock()
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.running || e.graph == nil {
+	if !e.running {
 		e.dropped.Add(1)
 		return
 	}
+	t0 := time.Now()
 	_, _ = e.graph.InjectEvent(ev)
-}
-
-// Quiesce blocks until every event consumed before the call has been
-// fully processed. In synchronous mode this is a no-op (Consume already
-// guarantees it); in sharded mode it pushes a barrier through every
-// shard queue. The coordination engine calls this before retiring a
-// context, preserving detection-time scoped-role resolution.
-func (e *Engine) Quiesce() {
-	e.mu.RLock()
-	pool := e.pool
-	e.mu.RUnlock()
-	if pool != nil {
-		pool.Quiesce()
-	}
+	e.detect.Observe(time.Since(t0))
 }
 
 // Dropped reports how many events arrived before Start or after Stop
@@ -372,27 +260,20 @@ func (e *Engine) Running() bool {
 
 // EngineStats reports the engine's detection counters.
 type EngineStats struct {
-	// Shards is the number of graph replicas (1 in synchronous mode).
-	Shards int
 	// Dropped counts events that arrived while the engine was not
 	// running.
 	Dropped uint64
-	// Nodes holds the per-operator counters, aggregated across shards
-	// and sorted by node name.
+	// Nodes holds the per-operator counters, sorted by node name.
 	Nodes []cedmos.NodeStats
 }
 
-// Stats exposes the per-operator counters of the detection graph,
-// aggregated across shards, plus the dropped-event count.
+// Stats exposes the per-operator counters of the detection graph plus
+// the dropped-event count.
 func (e *Engine) Stats() EngineStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	st := EngineStats{Shards: 1, Dropped: e.dropped.Load()}
-	switch {
-	case e.pool != nil:
-		st.Shards = e.pool.NumShards()
-		st.Nodes = e.pool.Stats()
-	case e.graph != nil:
+	st := EngineStats{Dropped: e.dropped.Load()}
+	if e.graph != nil {
 		st.Nodes = e.graph.Stats()
 	}
 	return st

@@ -1,6 +1,7 @@
 package awareness
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -604,5 +605,77 @@ func TestAssignments(t *testing.T) {
 	}
 	if _, ok := LookupAssignment("evens"); !ok {
 		t.Fatal("registered assignment missing")
+	}
+}
+
+// workProcess is a minimal schema for driving the engine directly: one
+// repeatable work activity.
+func workProcess(t *testing.T) *core.ProcessSchema {
+	t.Helper()
+	p := &core.ProcessSchema{
+		Name: "WorkProc",
+		Activities: []core.ActivityVariable{
+			{Name: "Work", Repeatable: true,
+				Schema: &core.BasicActivitySchema{Name: "WorkStep", PerformerRole: core.OrgRole("R")}},
+		},
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func workEvent(clk vclock.Clock, inst string, round int) event.Event {
+	return event.NewActivity(clk.Next(), "test", event.ActivityChange{
+		ActivityInstanceID:      fmt.Sprintf("%s/Work-%d", inst, round),
+		ParentProcessSchemaID:   "WorkProc",
+		ParentProcessInstanceID: inst,
+		ActivityVariableID:      "Work",
+		OldState:                string(core.Ready),
+		NewState:                string(core.Running),
+	})
+}
+
+// TestInterleavedInstancesCountInOrder drives the engine with a
+// round-robin interleaving of many instances through a per-instance
+// Count: replicated operator state must keep every instance's running
+// count strictly 1..N in submission order, with nothing dropped.
+func TestInterleavedInstancesCountInOrder(t *testing.T) {
+	const instances, perInstance = 32, 20
+	var got []event.Event
+	eng := NewEngine(event.ConsumerFunc(func(ev event.Event) { got = append(got, ev) }), Options{})
+	if err := eng.Define(&Schema{
+		Name:         "WorkSeen",
+		Process:      workProcess(t),
+		Description:  &CountNode{Input: &ActivitySource{Av: "Work", New: []core.State{core.Running}}},
+		DeliveryRole: core.OrgRole("R"),
+		Text:         "work started",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	clk := vclock.NewVirtual()
+	for round := 0; round < perInstance; round++ {
+		for i := 0; i < instances; i++ {
+			eng.Consume(workEvent(clk, fmt.Sprintf("pi-%d", i), round))
+		}
+	}
+	eng.Stop()
+
+	if len(got) != instances*perInstance {
+		t.Fatalf("detections = %d, want %d", len(got), instances*perInstance)
+	}
+	lastN := map[string]int64{}
+	for _, ev := range got {
+		n, _ := ev.Int64(event.PIntInfo)
+		if n != lastN[ev.InstanceID()]+1 {
+			t.Fatalf("instance %s: count %d after %d — per-instance order lost", ev.InstanceID(), n, lastN[ev.InstanceID()])
+		}
+		lastN[ev.InstanceID()] = n
+	}
+	if d := eng.Dropped(); d != 0 {
+		t.Fatalf("dropped = %d, want 0", d)
 	}
 }

@@ -14,9 +14,9 @@
 // schemas.
 //
 // Execution inside a Graph is synchronous and single-threaded: injecting
-// an event pushes it depth-first through the DAG. Detector wraps a Graph
-// in a goroutine with an input channel, turning it into the paper's
-// "detector agent" (Section 6.4).
+// an event pushes it depth-first through the DAG. The awareness engine
+// serializes injection under its own lock, so one Graph is the paper's
+// "detector agent" (Section 6.4) run in-line with event production.
 package cedmos
 
 import (
@@ -74,7 +74,7 @@ type node struct {
 	taps   []event.Consumer // external consumers (detection outputs)
 	filled []bool           // which input slots have a producer
 	// consumed/emitted are atomic so Stats may be read while another
-	// goroutine (the owning detector agent) is delivering events.
+	// goroutine is injecting events.
 	consumed atomic.Uint64 // events consumed (all slots)
 	emitted  atomic.Uint64 // events emitted
 }
@@ -82,7 +82,7 @@ type node struct {
 // A Graph is one composite event specification under construction or in
 // execution. Build it with AddSource/AddNode/ConnectSource/Connect/Tap,
 // seal it with Finalize, then feed it with Inject. A Graph is not safe
-// for concurrent use; wrap it in a Detector for concurrent feeding.
+// for concurrent use: callers serialize Inject/InjectEvent.
 type Graph struct {
 	name      string
 	sources   []source
@@ -347,8 +347,8 @@ type NodeStats struct {
 }
 
 // Stats returns per-node counters sorted by node name. The counters are
-// atomic, so Stats is safe to call while a detector agent is delivering
-// events through the graph.
+// atomic, so Stats is safe to call while another goroutine is injecting
+// events into the graph.
 func (g *Graph) Stats() []NodeStats {
 	out := make([]NodeStats, 0, len(g.nodes))
 	for i := range g.nodes {

@@ -364,3 +364,40 @@ func TestDiamondDeliversOncePerPath(t *testing.T) {
 		t.Fatalf("diamond join fired %d times, want 1", len(out))
 	}
 }
+
+func TestInjectEventUsesTypeIndex(t *testing.T) {
+	g := NewGraph("idx")
+	a1 := g.AddSource("a1", tA)
+	a2 := g.AddSource("a2", tA)
+	b1 := g.AddSource("b1", tB)
+	na := g.AddNode(&pairOp{name: "pa", typ: tA})
+	nb := g.AddNode(&echoOp{name: "eb", in: tB, out: tB})
+	if err := g.ConnectSource(a1, na, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ConnectSource(a2, na, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ConnectSource(b1, nb, 0); err != nil {
+		t.Fatal(err)
+	}
+	var outs []event.Event
+	if err := g.Tap(nb, collect(&outs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if fed, err := g.InjectEvent(mkEvent(tA)); err != nil || fed != 2 {
+		t.Fatalf("tA fed %d sources (err %v), want 2", fed, err)
+	}
+	if fed, err := g.InjectEvent(mkEvent(tB)); err != nil || fed != 1 {
+		t.Fatalf("tB fed %d sources (err %v), want 1", fed, err)
+	}
+	if fed, err := g.InjectEvent(mkEvent("test.unknown")); err != nil || fed != 0 {
+		t.Fatalf("unknown type fed %d sources (err %v), want 0", fed, err)
+	}
+	if len(outs) != 1 {
+		t.Fatalf("b outputs = %d, want 1", len(outs))
+	}
+}

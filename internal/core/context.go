@@ -35,13 +35,12 @@ func (c *Context) Name() string { return c.name }
 // pushed to the registered observers — this is the event source agent for
 // E_context (Section 6.3). Registry is safe for concurrent use.
 type Registry struct {
-	mu          sync.RWMutex
-	clock       vclock.Clock
-	contexts    map[string]*Context
-	byName      map[string]map[string]*Context // name -> id -> context
-	observers   []event.Consumer
-	retireGates []func(contextID string)
-	nextID      int
+	mu        sync.RWMutex
+	clock     vclock.Clock
+	contexts  map[string]*Context
+	byName    map[string]map[string]*Context // name -> id -> context
+	observers []event.Consumer
+	nextID    int
 	// logger, when set, journals every SetField mutation: it is invoked
 	// with the registry lock held (so journal order equals write order
 	// per field) and returns a wait function run after the lock is
@@ -289,30 +288,11 @@ func (r *Registry) Field(contextID, field string) (any, bool) {
 	return v, ok
 }
 
-// OnRetire registers a gate invoked at the start of every Retire, before
-// the context disappears and before the registry lock is taken. An
-// asynchronous detection pipeline uses this to quiesce: any detection
-// triggered by events emitted before the retirement can still resolve
-// the context's scoped roles (delivery-role resolution happens "at
-// composite event detection time", Section 5). Gates may call back into
-// the registry (e.g. ResolveRole); they must not call Retire.
-func (r *Registry) OnRetire(gate func(contextID string)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.retireGates = append(r.retireGates, gate)
-}
-
 // Retire removes a context from scope. Its scoped roles disappear with it
 // (Section 5.4: "the Requestor role disappears upon completion of the
 // information request process"); subsequent resolution of roles in this
 // context yields nothing.
 func (r *Registry) Retire(contextID string) error {
-	r.mu.RLock()
-	gates := append([]func(string){}, r.retireGates...)
-	r.mu.RUnlock()
-	for _, g := range gates {
-		g(contextID)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.contexts[contextID]

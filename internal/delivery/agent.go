@@ -29,7 +29,6 @@ type Agent struct {
 	assignments   map[string]awareness.AssignmentFunc
 	hooks         []DetectionHook
 	hookWG        sync.WaitGroup
-	batchSize     *obs.ValueHistogram
 }
 
 // A DetectionHook is a follow-on action (a delivery facility Section 6.5
@@ -67,10 +66,6 @@ func (a *Agent) Instrument(reg *obs.Registry) {
 		_, u, _ := a.Stats()
 		return float64(u)
 	}, obs.L("result", "undeliverable"))
-	a.mu.Lock()
-	a.batchSize = reg.ValueHistogram("cmi_delivery_consume_batch_size",
-		"Detection events drained per delivery agent batch handoff.", nil)
-	a.mu.Unlock()
 }
 
 // RegisterAssignment installs an agent-local awareness role assignment
@@ -144,69 +139,6 @@ func (a *Agent) Consume(ev event.Event) {
 			defer a.hookWG.Done()
 			h(n.Schema, users, ev)
 		}()
-	}
-}
-
-// ConsumeBatch implements event.BatchConsumer: a detection shard hands
-// over its drained batch in one call, and the agent fans the whole
-// batch out through Store.EnqueueFanoutBatch — one lock acquisition and
-// one commit-group join per touched queue for the entire batch, instead
-// of one per composite event. Outcome accounting and follow-on hooks
-// match per-event Consume exactly.
-func (a *Agent) ConsumeBatch(evs []event.Event) {
-	a.mu.Lock()
-	bs := a.batchSize
-	a.mu.Unlock()
-	bs.Observe(float64(len(evs)))
-	if len(evs) == 1 {
-		a.Consume(evs[0])
-		return
-	}
-	items := make([]FanoutItem, 0, len(evs))
-	batchEvs := make([]event.Event, 0, len(evs))
-	for _, ev := range evs {
-		if ev.Type != event.TypeOutput {
-			continue
-		}
-		users, err := a.resolve(ev)
-		if err != nil {
-			a.fail(err)
-			continue
-		}
-		if len(users) == 0 {
-			a.fail(fmt.Errorf("delivery: role %q resolved to no participants", ev.String(event.PDeliveryRole)))
-			continue
-		}
-		items = append(items, FanoutItem{Users: users, N: NotificationFromEvent(ev)})
-		batchEvs = append(batchEvs, ev)
-	}
-	if len(items) == 0 {
-		return
-	}
-	queued, _, err := a.store.EnqueueFanoutBatch(items)
-	total, expected := 0, 0
-	for i := range items {
-		total += queued[i]
-		expected += len(items[i].Users)
-	}
-	a.mu.Lock()
-	a.delivered += uint64(total)
-	if err != nil {
-		a.undeliverable += uint64(expected - total)
-		a.lastErr = err
-	}
-	hooks := append([]DetectionHook(nil), a.hooks...)
-	a.mu.Unlock()
-	for i := range items {
-		it, ev := items[i], batchEvs[i]
-		for _, h := range hooks {
-			h := h
-			a.hookWG.Add(1)
-			go func() {
-				defer a.hookWG.Done()
-				h(it.N.Schema, it.Users, ev)
-			}()
-		}
 	}
 }
 

@@ -15,8 +15,8 @@
 // buffered write + flush (+ fsync when the store is opened with
 // StoreOptions.Sync). N writers racing on one queue therefore pay ~one
 // commit per group rather than one each — the same amortization
-// transactional logs use — which is what lets sharded awareness
-// detection scale on the durable local-delivery path.
+// transactional logs use — which is what lets concurrent requests share
+// commits on the durable local-delivery path.
 package delivery
 
 import (
@@ -285,14 +285,6 @@ func NewStoreWith(dir string, opts StoreOptions) (*Store, error) {
 }
 
 func errClosed() error { return fmt.Errorf("delivery: store closed") }
-
-// hook returns the registered commit hook, or nil.
-func (s *Store) hook() CommitHook {
-	if p := s.commitHook.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
 
 // notifBatch wraps one accepted notification for its commit group's
 // broadcast — nil (no allocation) when no commit hook is registered.
@@ -749,7 +741,7 @@ func encodeNotifFrame(key string, n *Notification, m *storeMetrics) []byte {
 // only per-queue part, held in a fixed-width slot — is patched in place
 // and the frame resealed per queue, then journaled through that queue's
 // commit group, so a wide fan-out (or many concurrent fan-outs from
-// detection shards) pays ~one commit per group per queue instead of one
+// concurrent requests) pays ~one commit per group per queue instead of one
 // per record, and the encode cost once instead of per queue. Per-queue
 // id ordering and idempotency-key dedup match EnqueueKeyed exactly.
 //
@@ -806,109 +798,6 @@ func (s *Store) EnqueueFanout(users []string, key string, n Notification) ([]Not
 		out[i] = nn
 	}
 	return out, dups, firstErr
-}
-
-// A FanoutItem is one notification fan-out inside EnqueueFanoutBatch.
-type FanoutItem struct {
-	Users []string     // participant queues to fan out to
-	Key   string       // idempotency key; "" skips dedup
-	N     Notification // the notification body (ID assigned per queue)
-}
-
-// EnqueueFanoutBatch fans out a batch of notifications in one pass —
-// the delivery agent's path when detection shards hand over a drained
-// batch. Each notification is encoded once; records are grouped by
-// participant queue so every queue pays one lock acquisition and one
-// commit-group join for all its records in the batch, however many
-// notifications target it.
-//
-// It returns the number of queues each item landed on (aligned with
-// items; duplicates and failed queues excluded), the total duplicate
-// count, and the first error. As with appendCommit, records accepted
-// in memory before a failing commit stay accepted — the journal decides
-// on restart.
-func (s *Store) EnqueueFanoutBatch(items []FanoutItem) ([]int, int, error) {
-	queued := make([]int, len(items))
-	if len(items) == 0 {
-		return queued, 0, nil
-	}
-	m := s.metrics.Load()
-	frames := make([][]byte, len(items))
-	for i := range items {
-		items[i].N.ID = 0
-		items[i].N.Acked = false
-		frames[i] = encodeNotifFrame(items[i].Key, &items[i].N, m)
-	}
-	defer func() {
-		for _, f := range frames {
-			wire.PutBuf(f)
-		}
-	}()
-	// Group item indices by participant, preserving first-seen order.
-	byUser := make(map[string][]int)
-	order := make([]string, 0, len(items))
-	for i := range items {
-		for _, u := range items[i].Users {
-			if _, seen := byUser[u]; !seen {
-				order = append(order, u)
-			}
-			byUser[u] = append(byUser[u], i)
-		}
-	}
-	var (
-		dups     int
-		firstErr error
-		group    = wire.GetBuf(1 << 10)
-		hook     = s.hook()
-		batchNs  []Notification // reused per queue; appendCommit copies
-	)
-	defer wire.PutBuf(group)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, u := range order {
-		q, err := s.queueFor(u)
-		if err != nil {
-			fail(err)
-			continue
-		}
-		q.mu.Lock()
-		if err := q.usable(); err != nil {
-			q.mu.Unlock()
-			fail(err)
-			continue
-		}
-		group = group[:0]
-		batchNs = batchNs[:0]
-		cnt := 0
-		for _, i := range byUser[u] {
-			it := &items[i]
-			if it.Key != "" && q.keys[it.Key] {
-				dups++
-				continue
-			}
-			nn := it.N
-			nn.ID = q.nextID
-			patchNotifID(frames[i], nn.ID)
-			group = append(group, frames[i]...)
-			cnt++
-			s.accept(q, nn, it.Key, m)
-			if hook != nil {
-				batchNs = append(batchNs, nn)
-			}
-			queued[i]++
-		}
-		if cnt > 0 {
-			err = q.appendCommit(group, cnt, batchNs, m, s.syncOnCommit)
-		}
-		q.mu.Unlock()
-		if err != nil {
-			fail(err)
-		}
-	}
-	return queued, dups, firstErr
 }
 
 // Pending returns the participant's unacknowledged notifications,

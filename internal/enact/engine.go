@@ -277,9 +277,7 @@ func NewStriped(clock vclock.Clock, schemas *core.SchemaRegistry, dir *core.Dire
 // Stripes returns the number of lock stripes.
 func (e *Engine) Stripes() int { return len(e.stripes) }
 
-// familyStripe maps a family root id to a stripe index with FNV-1a — the
-// same hash the awareness instanceRouter uses (cedmos.HashShard), so one
-// family lands on the same partition in both layers.
+// familyStripe maps a family root id to a stripe index with FNV-1a.
 func familyStripe(root string, stripes int) int {
 	if stripes <= 1 || root == "" {
 		return 0

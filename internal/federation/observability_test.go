@@ -43,12 +43,12 @@ func post(t *testing.T, url, body string) (int, string) {
 	return res.StatusCode, string(b)
 }
 
-// TestMetricsEndpointCoversLayers runs a sharded system through the API
-// and checks /api/metrics exposes the cedmos, awareness, delivery,
+// TestMetricsEndpointCoversLayers runs a system through the API and
+// checks /api/metrics exposes the cedmos, awareness, delivery,
 // enact and HTTP series in Prometheus text format.
 func TestMetricsEndpointCoversLayers(t *testing.T) {
 	clk := vclock.NewVirtual()
-	sys, err := system.New(system.Config{Clock: clk, StateDir: t.TempDir(), Shards: 2})
+	sys, err := system.New(system.Config{Clock: clk, StateDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,20 +77,16 @@ func TestMetricsEndpointCoversLayers(t *testing.T) {
 	if _, err := leader.StartProcess("TaskForce"); err != nil {
 		t.Fatal(err)
 	}
-	sys.Awareness().Quiesce()
+	sys.Quiesce()
 
 	code, body := get(t, srv.URL+"/api/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics status = %d", code)
 	}
 	for _, series := range []string{
-		"# TYPE cmi_cedmos_injected_total counter",
-		`cmi_cedmos_injected_total{shard="0"}`,
-		`cmi_cedmos_injected_total{shard="1"}`,
+		"# TYPE cmi_cedmos_detect_seconds histogram",
 		"cmi_cedmos_detect_seconds_bucket",
-		"cmi_cedmos_queue_depth",
 		"cmi_awareness_detections_total",
-		"cmi_awareness_shards 2",
 		"cmi_delivery_enqueued_total",
 		"cmi_delivery_queue_depth",
 		`cmi_delivery_notifications_total{result="delivered"}`,

@@ -618,8 +618,6 @@ func (s *Server) postRemoteNotification(w http.ResponseWriter, r *http.Request) 
 }
 
 func (s *Server) getNotifications(w http.ResponseWriter, r *http.Request) {
-	// The awareness engine processes events asynchronously on its
-	// detector agent; notifications appear when detection completes.
 	pending, err := s.sys.Viewer(r.PathValue("participant")).Pending()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)

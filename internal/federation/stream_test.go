@@ -206,7 +206,7 @@ func TestStreamEndpointRejectsBadRequests(t *testing.T) {
 		url  string
 		want int
 	}{
-		{"/api/stream/notifications", http.StatusBadRequest},                     // no participant
+		{"/api/stream/notifications", http.StatusBadRequest},                           // no participant
 		{"/api/stream/notifications?participant=ada&cursor=x", http.StatusBadRequest},  // bad cursor
 		{"/api/stream/notifications?participant=ada&cursor=-1", http.StatusBadRequest}, // negative cursor
 	} {

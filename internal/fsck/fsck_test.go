@@ -151,7 +151,7 @@ func TestDetectsEveryInjectedCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
 		inject  func(t *testing.T, dir string) string // returns the path that must be flagged
-		corrupt bool                                   // expect mid-journal classification
+		corrupt bool                                  // expect mid-journal classification
 	}{
 		{"wal-mid-journal-bitrot", func(t *testing.T, dir string) string {
 			if _, err := fs.CorruptFrame(filepath.Join(dir, "enact.wal"), 1); err != nil {

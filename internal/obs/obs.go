@@ -351,8 +351,8 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label, 
 
 // registerSample registers a sampled series. Unlike instrument series,
 // re-registering an existing sampled series replaces its callback: the
-// sampled object may have been rebuilt (e.g. a detector pool recreated by
-// an awareness engine restart), and the old closure would otherwise keep
+// sampled object may have been rebuilt (e.g. a detection graph recompiled
+// by an awareness engine restart), and the old closure would otherwise keep
 // sampling the dead instance forever.
 func (r *Registry) registerSample(name, help string, kind metricKind, labels []Label, fn func() float64) {
 	if r == nil || fn == nil {

@@ -87,10 +87,10 @@ func TestHistogramBuckets(t *testing.T) {
 func TestValueHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.ValueHistogram("cmi_test_batch_size", "batch sizes", nil) // SizeBuckets
-	h.Observe(1)   // bucket le=1
-	h.Observe(2)   // le=2 (inclusive)
-	h.Observe(3)   // le=4
-	h.Observe(500) // +Inf
+	h.Observe(1)                                                     // bucket le=1
+	h.Observe(2)                                                     // le=2 (inclusive)
+	h.Observe(3)                                                     // le=4
+	h.Observe(500)                                                   // +Inf
 	if h.Count() != 4 {
 		t.Fatalf("count = %d", h.Count())
 	}

@@ -260,11 +260,10 @@ func TestFrameWriterSSEFormat(t *testing.T) {
 }
 
 // TestBroadcastBatchesOneWritePerCommitGroup asserts the batched
-// fan-out contract: a fanout batch that lands in one commit group
-// reaches the session as one batch, which the frame writer turns into
-// one Write.
+// fan-out contract: a commit group broadcast as one batch reaches the
+// session as one batch, which the frame writer turns into one Write.
 func TestBroadcastBatchesOneWritePerCommitGroup(t *testing.T) {
-	store, h := newHub(t, Options{})
+	_, h := newHub(t, Options{})
 	s, err := h.Subscribe("ada", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -274,14 +273,11 @@ func TestBroadcastBatchesOneWritePerCommitGroup(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	s.Next(ctx)
 	cancel()
-	items := []delivery.FanoutItem{
-		{Users: []string{"ada"}, N: delivery.Notification{Schema: "S", Description: "a"}},
-		{Users: []string{"ada"}, N: delivery.Notification{Schema: "S", Description: "b"}},
-		{Users: []string{"ada"}, N: delivery.Notification{Schema: "S", Description: "c"}},
-	}
-	if _, _, err := store.EnqueueFanoutBatch(items); err != nil {
-		t.Fatal(err)
-	}
+	h.Broadcast("ada", []delivery.Notification{
+		{ID: 1, Schema: "S", Description: "a"},
+		{ID: 2, Schema: "S", Description: "b"},
+		{ID: 3, Schema: "S", Description: "c"},
+	})
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
 	batch, err := s.Next(ctx2)

@@ -43,15 +43,8 @@ type Config struct {
 	StateDir string
 	// DisableReplication turns off per-process-instance operator state
 	// replication in the awareness engine. Only for the E8 ablation
-	// experiment; never disable it in real use. It forces Shards to 1.
+	// experiment; never disable it in real use.
 	DisableReplication bool
-	// Shards selects the awareness detection mode: <= 1 (default) is
-	// synchronous in-line detection; > 1 runs that many parallel graph
-	// replicas partitioned by process family (awareness.Options.Shards).
-	Shards int
-	// Buffer is the awareness detector's per-shard input queue capacity
-	// (default 1024).
-	Buffer int
 	// Metrics receives every layer's metric series. Nil selects a fresh
 	// per-system registry (exposed by Metrics()), so instrumentation is
 	// always on; supply a registry to aggregate several systems.
@@ -229,8 +222,6 @@ func New(cfg Config) (_ *System, err error) {
 	}
 	s.aware = awareness.NewEngine(s.agent, awareness.Options{
 		DisableReplication: cfg.DisableReplication,
-		Shards:             cfg.Shards,
-		Buffer:             cfg.Buffer,
 		Metrics:            reg,
 	})
 	s.enact.Instrument(reg)
@@ -253,12 +244,6 @@ func New(cfg Config) (_ *System, err error) {
 	}
 	s.enact.Observe(s.aware)
 	s.contexts.Observe(s.aware)
-	// With sharded (asynchronous) detection, a context must not retire
-	// until every event emitted before the retirement has cleared the
-	// shard queues — otherwise a detection triggered by the final events
-	// of the context's own scope could no longer resolve its scoped
-	// roles. Quiesce is a no-op in synchronous mode.
-	s.contexts.OnRetire(func(string) { s.aware.Quiesce() })
 	return s, nil
 }
 
@@ -537,14 +522,14 @@ func (s *System) Drain() {
 }
 
 // Quiesce blocks until every event emitted before the call has been
-// fully processed: awareness detection has cleared the shard queues and
-// every outstanding follow-on hook (including cross-domain forwarders
-// spooling their notifications) has returned. Unlike Drain it does not
-// stop anything — the system keeps running. The federation server
-// exposes it as POST /api/system/quiesce so a black-box harness can
-// settle a topology before checking global invariants.
+// fully processed: detection already runs in-line with event production,
+// so this waits for every outstanding follow-on hook (including
+// cross-domain forwarders spooling their notifications) to return.
+// Unlike Drain it does not stop anything — the system keeps running. The
+// federation server exposes it as POST /api/system/quiesce so a
+// black-box harness can settle a topology before checking global
+// invariants.
 func (s *System) Quiesce() {
-	s.aware.Quiesce()
 	s.agent.Wait()
 }
 
@@ -604,8 +589,6 @@ type Health struct {
 	EngineRunning bool `json:"engineRunning"`
 	// StoreOpen reports the notification store accepts appends.
 	StoreOpen bool `json:"storeOpen"`
-	// Shards is the awareness engine's effective shard count.
-	Shards int `json:"shards"`
 	// PoisonedQueues counts delivery journals permanently refusing
 	// appends after a failed commit write or fsync (fsyncgate: the
 	// durable suffix is unknown, so no retry on the same descriptor).
@@ -633,7 +616,6 @@ func (s *System) Health() Health {
 		Started:         started && !closed,
 		EngineRunning:   s.aware.Running(),
 		StoreOpen:       s.store.Open(),
-		Shards:          s.aware.Shards(),
 		PoisonedQueues:  s.store.PoisonedQueues(),
 		CorruptJournals: s.store.CorruptJournals(),
 		WALCorrupt:      s.recovery.Corrupt,
