@@ -52,8 +52,8 @@ func (c JournalCheck) Damaged() bool {
 
 // CheckJournal verifies one participant journal offline: every frame
 // CRC, every record decode, notification-id monotonicity and the ack
-// cross-references. It never modifies the data; quarantine decisions
-// belong to the caller (see internal/fsck).
+// cross-references, decoding records as queue load does. It never
+// modifies the data; quarantine decisions belong to the caller.
 func CheckJournal(data []byte) JournalCheck {
 	var c JournalCheck
 	c.NextID = 1
@@ -76,7 +76,7 @@ func CheckJournal(data []byte) JournalCheck {
 		}
 		var r record
 		if isFrame {
-			if decodeRecordBinary(rec, &r) != nil {
+			if decodeRecord(rec, &r) != nil {
 				// A checksum-valid frame that fails to decode was fully
 				// committed — damage, never a torn write.
 				c.BadRecords++
@@ -89,25 +89,27 @@ func CheckJournal(data []byte) JournalCheck {
 		} else if json.Unmarshal(rec, &r) != nil {
 			pendingBad = true
 			continue
+		} else if r.Notif != nil {
+			r.id = r.Notif.ID
 		}
 		c.Records++
 		switch r.Kind {
 		case "notif":
-			if r.Notif == nil {
+			if !isFrame && r.Notif == nil {
 				c.BadRecords++
 				continue
 			}
 			c.Notifs++
-			ids[r.Notif.ID] = true
-			if r.Notif.ID <= lastID {
+			ids[r.id] = true
+			if r.id <= lastID {
 				c.IDRegressions++
 			}
-			lastID = r.Notif.ID
-			if r.Notif.ID > c.MaxID {
-				c.MaxID = r.Notif.ID
+			lastID = r.id
+			if r.id > c.MaxID {
+				c.MaxID = r.id
 			}
-			if r.Notif.ID >= c.NextID {
-				c.NextID = r.Notif.ID + 1
+			if r.id >= c.NextID {
+				c.NextID = r.id + 1
 			}
 		case "ack":
 			c.Acks++

@@ -195,16 +195,18 @@ func patchNotifID(frame []byte, id int64) {
 	wire.ResealFrame(frame)
 }
 
-// decodeRecordBinary decodes one binary journal-record payload into r.
-func decodeRecordBinary(payload []byte, r *record) error {
+// decodeRecord decodes one binary journal-record payload into r. A
+// notif body is only checked (skipNotifBody) and left in r.body, with
+// r.Notif nil: load decodes it later only if the notification survives.
+func decodeRecord(payload []byte, r *record) (err error) {
 	d := wire.NewDec(payload)
 	switch d.Byte() {
 	case recNotif:
-		n := &Notification{ID: int64(d.Uint64LE())}
-		r.Kind = "notif"
-		r.Key = d.String()
-		decodeNotifBody(d, n)
-		r.Notif = n
+		r.id = int64(d.Uint64LE())
+		r.Kind, r.Key = "notif", string(d.Bytes())
+		r.body = payload[len(payload)-d.Len():]
+		r.acked, err = skipNotifBody(r.body)
+		return err
 	case recAck:
 		r.Kind = "ack"
 		r.AckID = d.Varint()
@@ -218,6 +220,38 @@ func decodeRecordBinary(payload []byte, r *record) error {
 		return fmt.Errorf("delivery: unknown binary record kind")
 	}
 	return d.Err()
+}
+
+// skipNotifBody walks an encoded notification body without building
+// it, allocation-free. It fails exactly where decodeNotifBody would, and
+// returns the body's acked byte.
+func skipNotifBody(b []byte) (acked bool, err error) {
+	d := wire.NewDec(b)
+	if d.Byte() != 0 {
+		d.Varint() // time
+	}
+	d.Bytes() // schema
+	d.Bytes() // description
+	d.Varint()
+	acked = d.Bool()
+	for i, cnt := uint64(0), d.Uvarint(); i < cnt && d.Err() == nil; i++ {
+		d.Bytes()
+		switch d.Byte() {
+		case pvString, pvJSON:
+			d.Bytes()
+		case pvBool:
+			d.Byte()
+		case pvInt:
+			d.Varint()
+		case pvFloat:
+			d.Uint64LE()
+		case pvStrings:
+			for j, n := uint64(0), d.Uvarint(); j < n && d.Err() == nil; j++ {
+				d.Bytes()
+			}
+		}
+	}
+	return acked, d.Err()
 }
 
 // notifRecordSize estimates the encoded payload size for pool sizing.

@@ -75,6 +75,11 @@ type record struct {
 	// compaction, which drops the acked records that would otherwise
 	// carry it; ids must never be reused even for acknowledged history.
 	NextID int64 `json:"nextId,omitempty"`
+	// A notif record during load: id and acked state known, frame and
+	// body (binary records only) still encoded in the journal bytes.
+	id          int64
+	acked       bool
+	frame, body []byte
 }
 
 // A commitGroup is one group-commit batch: encoded records from every
@@ -333,7 +338,6 @@ func (s *Store) newQueue(participant, path string) (*queue, error) {
 	if q.corrupt {
 		s.corruptLoads.Add(1)
 	}
-	q.maybeCompact()
 	f, err := q.fsys.OpenAppend(path)
 	if err != nil {
 		return nil, fmt.Errorf("delivery: %w", err)
@@ -398,6 +402,10 @@ func (s *Store) Preload() error {
 	return firstErr
 }
 
+// compactMinAcked is the floor below which compaction never triggers,
+// so small queues (and their full history) are left alone.
+const compactMinAcked = 4
+
 // load replays the journal: notifications in order, acks applied.
 // Records are binary wire frames, legacy JSON lines, or a mix from an
 // in-place upgrade — the scanner auto-detects per record. A torn TAIL
@@ -405,6 +413,20 @@ func (s *Store) Preload() error {
 // mid-journal corruption — a bad frame with intact frames after it —
 // stops replay at the first bad record and marks the queue corrupt, so
 // the damage is reported loudly instead of silently truncating history.
+//
+// Replay is two passes over the bytes read: the first decodes record
+// headers only (decodeRecord) and applies acks, keys and id marks, the
+// second decodes the bodies of the notifications that stay in memory.
+// In between, a journal dominated by acknowledged records is rewritten
+// to an id high-water mark, the idempotency keys (kept standalone so
+// redelivered pushes of acked notifications still dedup) and the live
+// notifications — keyless frames copied byte for byte, keyed ones
+// re-framed around their body with an empty key — so acked history is
+// never decoded, and after one rewrite never replayed. The rewrite is
+// atomic (fs.ReplaceFile: tmp + fsync + rename + dir fsync) and
+// best-effort: on any error the original journal is kept and the full
+// history stays in memory. A corrupt load is never compacted: that
+// would destroy the damaged region fsck needs to diagnose.
 func (q *queue) load() error {
 	data, err := q.fsys.ReadFile(q.path)
 	if err != nil {
@@ -413,6 +435,7 @@ func (q *queue) load() error {
 		}
 		return fmt.Errorf("delivery: %w", err)
 	}
+	var ents []record // notif records, in journal order
 	sc := wire.NewScanner(data)
 	for {
 		rec, isFrame, ok := sc.Next()
@@ -421,7 +444,7 @@ func (q *queue) load() error {
 		}
 		var r record
 		if isFrame {
-			if decodeRecordBinary(rec, &r) != nil {
+			if decodeRecord(rec, &r) != nil {
 				continue // unknown kind from a newer writer; skip
 			}
 		} else if err := json.Unmarshal(rec, &r); err != nil {
@@ -429,20 +452,23 @@ func (q *queue) load() error {
 		}
 		switch r.Kind {
 		case "notif":
-			if r.Notif == nil {
+			if r.Notif != nil {
+				r.id, r.acked = r.Notif.ID, r.Notif.Acked
+			} else if !isFrame {
 				continue
 			}
-			q.byID[r.Notif.ID] = len(q.notifs)
-			q.notifs = append(q.notifs, *r.Notif)
+			r.frame = sc.Frame()
+			q.byID[r.id] = len(ents)
+			ents = append(ents, r)
 			if r.Key != "" {
 				q.keys[r.Key] = true
 			}
-			if r.Notif.ID >= q.nextID {
-				q.nextID = r.Notif.ID + 1
+			if r.id >= q.nextID {
+				q.nextID = r.id + 1
 			}
 		case "ack":
 			if i, ok := q.byID[r.AckID]; ok {
-				q.notifs[i].Acked = true
+				ents[i].acked = true
 			}
 		case "key":
 			if r.Key != "" {
@@ -455,75 +481,65 @@ func (q *queue) load() error {
 		}
 	}
 	q.pending = 0
-	for i := range q.notifs {
-		if !q.notifs[i].Acked {
+	for i := range ents {
+		if !ents[i].acked {
 			q.pending++
 		}
 	}
 	q.corrupt = sc.Torn() && sc.CorruptMidJournal()
+	compacted := false
+	if acked := len(ents) - q.pending; !q.corrupt && acked > q.pending && acked >= compactMinAcked {
+		buf := make([]byte, 0, len(data))
+		var payload []byte
+		writeRec := func(pay []byte) {
+			payload = pay
+			buf = append(wire.AppendFrame(buf, pay), '\n')
+		}
+		writeRec(appendRecordNext(payload[:0], q.nextID))
+		keys := make([]string, 0, len(q.keys))
+		for k := range q.keys {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			writeRec(appendRecordKey(payload[:0], k))
+		}
+		for i := range ents {
+			switch r := &ents[i]; {
+			case r.acked:
+			case r.Notif != nil:
+				writeRec(appendRecordNotif(payload[:0], "", r.Notif))
+			case r.Key != "":
+				head := wire.AppendUint64LE(append(payload[:0], recNotif), uint64(r.id))
+				writeRec(append(wire.AppendString(head, ""), r.body...))
+			default:
+				buf = append(append(buf, r.frame...), '\n')
+			}
+		}
+		compacted = fs.ReplaceFile(q.fsys, q.path, buf, true) == nil
+	}
+	keep := len(ents)
+	if compacted {
+		// Like the compacted journal, memory keeps only live history.
+		keep, q.byID = q.pending, make(map[int64]int, q.pending)
+	}
+	q.notifs = make([]Notification, 0, keep)
+	for i := range ents {
+		r := &ents[i]
+		if compacted && r.acked {
+			continue
+		}
+		n := Notification{ID: r.id}
+		if r.Notif != nil {
+			n = *r.Notif
+		} else {
+			decodeNotifBody(wire.NewDec(r.body), &n)
+		}
+		n.Acked = r.acked
+		q.byID[n.ID] = len(q.notifs)
+		q.notifs = append(q.notifs, n)
+	}
 	return nil
-}
-
-// compactMinAcked is the floor below which compaction never triggers,
-// so small queues (and their full history) are left alone.
-const compactMinAcked = 4
-
-// maybeCompact rewrites a journal dominated by acknowledged records
-// down to its live state: an id high-water mark, the idempotency keys
-// (kept standalone so redelivered pushes of acked notifications still
-// dedup), and the live notifications. Long-lived participants therefore
-// stop paying replay cost for information they acknowledged long ago.
-// The rewrite is atomic (tmp + fsync + rename + parent-dir fsync via
-// fs.ReplaceFile), so a crash at any point leaves either the old or the
-// new journal, never a mix; it is best-effort — on any error the
-// original journal is kept untouched. A journal load marked corrupt is
-// never compacted: the rewrite would destroy the damaged region fsck
-// needs to diagnose and quarantine.
-func (q *queue) maybeCompact() {
-	if q.corrupt {
-		return
-	}
-	acked := len(q.notifs) - q.pending
-	if acked <= q.pending || acked < compactMinAcked {
-		return
-	}
-	var buf, payload []byte
-	writeRec := func(pay []byte) {
-		payload = pay
-		buf = wire.AppendFrame(buf, pay)
-		buf = append(buf, '\n')
-	}
-	writeRec(appendRecordNext(payload[:0], q.nextID))
-	keys := make([]string, 0, len(q.keys))
-	for k := range q.keys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		writeRec(appendRecordKey(payload[:0], k))
-	}
-	for i := range q.notifs {
-		if q.notifs[i].Acked {
-			continue
-		}
-		writeRec(appendRecordNotif(payload[:0], "", &q.notifs[i]))
-	}
-	if fs.ReplaceFile(q.fsys, q.path, buf, true) != nil {
-		return
-	}
-	// The in-memory queue mirrors the compacted journal: acked
-	// notifications are gone from history from here on.
-	live := make([]Notification, 0, q.pending)
-	byID := make(map[int64]int, q.pending)
-	for i := range q.notifs {
-		if q.notifs[i].Acked {
-			continue
-		}
-		byID[q.notifs[i].ID] = len(live)
-		live = append(live, q.notifs[i])
-	}
-	q.notifs = live
-	q.byID = byID
 }
 
 // appendCommit adds n encoded, newline-terminated records to the

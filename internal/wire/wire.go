@@ -99,9 +99,10 @@ func ResealFrame(frame []byte) {
 // A trailing JSON line without a newline is still returned — legacy
 // loaders attempt to parse it and treat failure as the torn tail.
 type Scanner struct {
-	data []byte
-	off  int
-	torn bool
+	data  []byte
+	off   int
+	torn  bool
+	frame []byte
 }
 
 // NewScanner returns a scanner over the full journal contents.
@@ -140,15 +141,21 @@ func (s *Scanner) Next() (rec []byte, isFrame, ok bool) {
 			s.torn = true
 			return nil, false, false
 		}
+		s.frame = s.data[s.off:end]
 		s.off = int(end)
 		return payload, true, true
 	}
+	s.frame = nil
 	start := s.off
 	for s.off < len(s.data) && s.data[s.off] != '\n' {
 		s.off++
 	}
 	return s.data[start:s.off], false, true
 }
+
+// Frame returns the whole frame (header included) whose payload Next
+// last returned, as a view into the scanned data; nil after a JSON line.
+func (s *Scanner) Frame() []byte { return s.frame }
 
 // Torn reports that scanning stopped at a corrupt or truncated binary
 // frame rather than clean end of input.

@@ -47,6 +47,11 @@ func TestScannerMixedFormats(t *testing.T) {
 		}
 		recs = append(recs, string(rec))
 		frames = append(frames, isFrame)
+		// Frame is the whole frame around a binary payload, nil after a
+		// JSON line.
+		if want := AppendFrame(nil, rec); isFrame != bytes.Equal(sc.Frame(), want) || !isFrame && sc.Frame() != nil {
+			t.Errorf("record %q: Frame = %q", rec, sc.Frame())
+		}
 	}
 	want := []string{`{"kind":"legacy","n":1}`, "binary-1", `{"kind":"legacy","n":2}`, "binary-2"}
 	if len(recs) != len(want) {
