@@ -51,15 +51,15 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # Compile-and-run smoke: every paper-figure arm of cmibench (its output
-# discarded) plus the journal-append and queue-load benchmarks at one
-# iteration each.
+# discarded) plus the journal-append, queue-load and queue-first-read
+# benchmarks at one iteration each.
 # Every line is its own recipe command, so a non-zero exit fails the
 # target.
 bench-smoke:
 	$(GO) run ./cmd/cmibench -exp all >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkDeliveryFanout' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend' -benchtime=1x -benchmem ./internal/enact/
-	$(GO) test -run '^$$' -bench 'BenchmarkQueueLoad' -benchtime=1x -benchmem ./internal/delivery/
+	$(GO) test -run '^$$' -bench 'BenchmarkQueue(Load|FirstRead)' -benchtime=1x -benchmem ./internal/delivery/
 	$(GO) test -run '^$$' -bench 'BenchmarkSpoolPush' -benchtime=1x -benchmem ./internal/federation/
 
 # The pipeline benchmark (bench/, its own module, outside ./...) drives

@@ -113,8 +113,10 @@ func (a *Agent) Consume(ev event.Event) {
 	}
 	n := NotificationFromEvent(ev)
 	// One fan-out call: the notification body is marshaled once and each
-	// participant's queue journals it through its own commit group, so
-	// concurrent detections coalesce their journal I/O.
+	// participant's queue journals it through its own commit group, one
+	// queue after another. Detections never overlap here — the awareness
+	// engine's one lock serialises them — so a detection's commit shares
+	// its group only with remote pushes and acks to the same queue.
 	ns, _, err := a.store.EnqueueFanout(users, "", n)
 	queued := 0
 	for _, qn := range ns {

@@ -1,6 +1,7 @@
 package delivery
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -335,13 +337,65 @@ func decodedRecords(data []byte) []record {
 	return recs
 }
 
+// served wraps a loaded queue in a Store, its journal open for appends,
+// so the public reads and writes run against it.
+func served(t *testing.T, q *queue) *Store {
+	t.Helper()
+	f, err := q.fsys.OpenAppend(q.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.file, q.w, q.cond = f, bufio.NewWriter(f), sync.NewCond(&q.mu)
+	return &Store{fsys: q.fsys, queues: map[string]*queue{q.participant: q}}
+}
+
+// A storeOp is one public call on participant "p" of a served queue.
+type storeOp struct {
+	name string
+	do   func(*Store) (any, error)
+}
+
+func pendingAfter(after int64, limit int) storeOp {
+	return storeOp{fmt.Sprintf("PendingAfter(%d, %d)", after, limit),
+		func(s *Store) (any, error) { return s.PendingAfter("p", after, limit) }}
+}
+
+var (
+	opPending = storeOp{"Pending", func(s *Store) (any, error) { return s.Pending("p") }}
+	opHistory = storeOp{"History", func(s *Store) (any, error) { return s.History("p") }}
+	opDigest  = storeOp{"PendingDigest", func(s *Store) (any, error) { return s.PendingDigest("p") }}
+	opEnqueue = storeOp{"Enqueue", func(s *Store) (any, error) {
+		return s.Enqueue("p", Notification{Time: time.Unix(1_800_000_000, 0).UTC(), Schema: "S",
+			Description: "late", Priority: 1, Params: map[string]any{"k": "v"}})
+	}}
+)
+
+func opAck(id int64) storeOp {
+	return storeOp{fmt.Sprintf("Ack(%d)", id), func(s *Store) (any, error) { return nil, s.Ack("p", id) }}
+}
+
+// sameAnswers runs ops in order on the lazily loaded store and on the
+// reference, failing at the first answer or error that differs.
+func sameAnswers(t *testing.T, seed int64, lazy, ref *Store, ops ...storeOp) {
+	t.Helper()
+	for _, op := range ops {
+		got, gotErr := op.do(lazy)
+		want, wantErr := op.do(ref)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: %s = %+v, %v; reference %+v, %v", seed, op.name, got, gotErr, want, wantErr)
+		}
+	}
+}
+
 // TestLoadMatchesReference is the differential oracle of the header-
 // first replay: over 1,000 seeded journals, load must leave exactly the
 // queue state the reference single-pass loader and compactor leave, and
 // a compacted journal must decode to the same record sequence. Every
 // fifth journal runs with a failing rename, so a compaction's
 // fs.ReplaceFile fails: the journal must stay untouched and the full
-// history in memory.
+// history in memory. A second lazy load of each journal must then
+// answer every read exactly like the reference's eagerly decoded queue:
+// cold, partly read, after an interleaved Ack and Enqueue, and in full.
 func TestLoadMatchesReference(t *testing.T) {
 	outcomes := make(map[string]int)
 	for seed := int64(1); seed <= 1000; seed++ {
@@ -357,8 +411,8 @@ func TestLoadMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: %d notifs, reference %d", seed, len(got.notifs), len(want.notifs))
 		}
 		for i := range want.notifs {
-			if !reflect.DeepEqual(got.notifs[i], want.notifs[i]) {
-				t.Fatalf("seed %d: notif %d = %+v, reference %+v", seed, i, got.notifs[i], want.notifs[i])
+			if n := got.at(i); !reflect.DeepEqual(n, want.notifs[i]) {
+				t.Fatalf("seed %d: notif %d = %+v, reference %+v", seed, i, n, want.notifs[i])
 			}
 		}
 		if !reflect.DeepEqual(got.byID, want.byID) || !reflect.DeepEqual(got.keys, want.keys) {
@@ -401,6 +455,19 @@ func TestLoadMatchesReference(t *testing.T) {
 		if rewritten {
 			outcomes["compacted"]++
 		}
+
+		lazyQ, _, _ := loadedQueue(t, journal, false, wrap)
+		refQ, _, _ := loadedQueue(t, journal, true, wrap)
+		lazy, ref := served(t, lazyQ), served(t, refQ)
+		first, last, mid := int64(0), int64(0), want.nextID/2
+		if len(want.notifs) > 0 {
+			first, last = want.notifs[0].ID, want.notifs[len(want.notifs)-1].ID
+		}
+		sameAnswers(t, seed, lazy, ref, pendingAfter(mid, 2), pendingAfter(0, 1), pendingAfter(-1, 3))
+		sameAnswers(t, seed, lazy, ref, opAck(last), opEnqueue, opAck(first), opAck(1<<40))
+		sameAnswers(t, seed, lazy, ref, pendingAfter(first, 1), pendingAfter(mid, 0), opPending,
+			pendingAfter(0, 0), opDigest, opEnqueue, opAck(want.nextID), opHistory, opPending,
+			pendingAfter(last-1, 2), pendingAfter(want.nextID, 0))
 	}
 	t.Logf("journal outcomes: %v", outcomes)
 	for _, o := range []string{"corrupt", "acked below the floor", "acked at the floor", "acked at the live count",

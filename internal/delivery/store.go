@@ -21,6 +21,7 @@ package delivery
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/url"
@@ -75,11 +76,23 @@ type record struct {
 	// compaction, which drops the acked records that would otherwise
 	// carry it; ids must never be reused even for acknowledged history.
 	NextID int64 `json:"nextId,omitempty"`
-	// A notif record during load: id and acked state known, frame and
-	// body (binary records only) still encoded in the journal bytes.
-	id          int64
-	acked       bool
-	frame, body []byte
+	// A binary notif record as decodeRecord leaves it: id and acked
+	// state known, body still encoded.
+	id    int64
+	acked bool
+	body  []byte
+}
+
+// A loadEnt is one notif record as load's first pass leaves it, pointer-
+// free so the collector skips the table: a frame at [frame, end) of the
+// journal bytes with its body at [body, end), or else the legacy-th
+// (1-based) eagerly decoded JSON notification.
+type loadEnt struct {
+	id               int64
+	frame, body, end int
+	to               int // where compaction put the end of the body
+	legacy           int32
+	acked, keyed     bool
 }
 
 // A commitGroup is one group-commit batch: encoded records from every
@@ -116,11 +129,15 @@ type queue struct {
 	// poisonTally points at the owning store's poisoned-queue counter.
 	poisonTally *atomic.Int64
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signals commit-leader turnover (writing -> false)
-	file    fs.File
-	w       *bufio.Writer
-	notifs  []Notification  // in id order
+	mu     sync.Mutex
+	cond   *sync.Cond // signals commit-leader turnover (writing -> false)
+	file   fs.File
+	w      *bufio.Writer
+	notifs []Notification // in id order
+	// bodies[i], for i < len(bodies), is the encoded body of notifs[i]
+	// while that entry is a stub load left undecoded (only ID and Acked
+	// set); nil once a read has decoded it (see at).
+	bodies  [][]byte
 	byID    map[int64]int   // id -> index in notifs
 	keys    map[string]bool // idempotency keys already enqueued
 	nextID  int64
@@ -414,18 +431,19 @@ const compactMinAcked = 4
 // stops replay at the first bad record and marks the queue corrupt, so
 // the damage is reported loudly instead of silently truncating history.
 //
-// Replay is two passes over the bytes read: the first decodes record
-// headers only (decodeRecord) and applies acks, keys and id marks, the
-// second decodes the bodies of the notifications that stay in memory.
-// In between, a journal dominated by acknowledged records is rewritten
-// to an id high-water mark, the idempotency keys (kept standalone so
-// redelivered pushes of acked notifications still dedup) and the live
-// notifications — keyless frames copied byte for byte, keyed ones
-// re-framed around their body with an empty key — so acked history is
-// never decoded, and after one rewrite never replayed. The rewrite is
-// atomic (fs.ReplaceFile: tmp + fsync + rename + dir fsync) and
-// best-effort: on any error the original journal is kept and the full
-// history stays in memory. A corrupt load is never compacted: that
+// Replay decodes no binary notification body. The first pass decodes
+// record headers only (decodeRecord) and applies acks, keys and id
+// marks; the second leaves each notification that stays in memory a
+// stub over its encoded body, decoded by the first read returning it
+// (see at). In between, a journal dominated by acknowledged records is
+// rewritten to an id high-water mark, the idempotency keys (kept
+// standalone so redelivered pushes of acked notifications still dedup)
+// and the live notifications — keyless frames copied byte for byte,
+// keyed ones re-framed around their body with an empty key — and the
+// stubs point into the rewritten bytes, else into the bytes read. The
+// rewrite is atomic (fs.ReplaceFile: tmp + fsync + rename + dir fsync)
+// and best-effort: on any error the original journal is kept and the
+// full history stays in memory. A corrupt load is never compacted: that
 // would destroy the damaged region fsck needs to diagnose.
 func (q *queue) load() error {
 	data, err := q.fsys.ReadFile(q.path)
@@ -435,9 +453,11 @@ func (q *queue) load() error {
 		}
 		return fmt.Errorf("delivery: %w", err)
 	}
-	var ents []record // notif records, in journal order
+	var ents []loadEnt        // notif records, in journal order
+	var legacy []Notification // the JSON ones among them, decoded
 	sc := wire.NewScanner(data)
 	for {
+		off := int(sc.Offset())
 		rec, isFrame, ok := sc.Next()
 		if !ok {
 			break
@@ -447,24 +467,33 @@ func (q *queue) load() error {
 			if decodeRecord(rec, &r) != nil {
 				continue // unknown kind from a newer writer; skip
 			}
-		} else if err := json.Unmarshal(rec, &r); err != nil {
-			continue // torn write at crash; skip
+		} else {
+			var jr record // only a JSON record pays for escaping to the heap
+			if json.Unmarshal(rec, &jr) != nil {
+				continue // torn write at crash; skip
+			}
+			r = jr
 		}
 		switch r.Kind {
 		case "notif":
-			if r.Notif != nil {
-				r.id, r.acked = r.Notif.ID, r.Notif.Acked
-			} else if !isFrame {
+			e := loadEnt{id: r.id, acked: r.acked, keyed: r.Key != ""}
+			switch {
+			case isFrame:
+				e.frame, e.end = off, off+len(sc.Frame())
+				e.body = e.end - len(r.body)
+			case r.Notif != nil:
+				legacy = append(legacy, *r.Notif)
+				e.id, e.acked, e.legacy = r.Notif.ID, r.Notif.Acked, int32(len(legacy))
+			default:
 				continue
 			}
-			r.frame = sc.Frame()
-			q.byID[r.id] = len(ents)
-			ents = append(ents, r)
-			if r.Key != "" {
+			q.byID[e.id] = len(ents)
+			ents = append(ents, e)
+			if e.keyed {
 				q.keys[r.Key] = true
 			}
-			if r.id >= q.nextID {
-				q.nextID = r.id + 1
+			if e.id >= q.nextID {
+				q.nextID = e.id + 1
 			}
 		case "ack":
 			if i, ok := q.byID[r.AckID]; ok {
@@ -505,18 +534,24 @@ func (q *queue) load() error {
 			writeRec(appendRecordKey(payload[:0], k))
 		}
 		for i := range ents {
-			switch r := &ents[i]; {
-			case r.acked:
-			case r.Notif != nil:
-				writeRec(appendRecordNotif(payload[:0], "", r.Notif))
-			case r.Key != "":
-				head := wire.AppendUint64LE(append(payload[:0], recNotif), uint64(r.id))
-				writeRec(append(wire.AppendString(head, ""), r.body...))
+			switch e := &ents[i]; {
+			case e.acked:
+			case e.legacy > 0:
+				writeRec(appendRecordNotif(payload[:0], "", &legacy[e.legacy-1]))
+			case e.keyed:
+				head := wire.AppendUint64LE(append(payload[:0], recNotif), uint64(e.id))
+				writeRec(append(wire.AppendString(head, ""), data[e.body:e.end]...))
+				e.to = len(buf) - 1 // the body ends the frame, before its newline
 			default:
-				buf = append(append(buf, r.frame...), '\n')
+				buf = append(append(buf, data[e.frame:e.end]...), '\n')
+				e.to = len(buf) - 1
 			}
 		}
-		compacted = fs.ReplaceFile(q.fsys, q.path, buf, true) == nil
+		if fs.ReplaceFile(q.fsys, q.path, buf, true) == nil {
+			// buf has room for the whole old journal: pin the stubs to
+			// an exact-size copy of what was written instead.
+			compacted, data = true, bytes.Clone(buf)
+		}
 	}
 	keep := len(ents)
 	if compacted {
@@ -524,22 +559,40 @@ func (q *queue) load() error {
 		keep, q.byID = q.pending, make(map[int64]int, q.pending)
 	}
 	q.notifs = make([]Notification, 0, keep)
+	q.bodies = make([][]byte, 0, keep)
 	for i := range ents {
-		r := &ents[i]
-		if compacted && r.acked {
+		e := &ents[i]
+		if compacted && e.acked {
 			continue
 		}
-		n := Notification{ID: r.id}
-		if r.Notif != nil {
-			n = *r.Notif
-		} else {
-			decodeNotifBody(wire.NewDec(r.body), &n)
+		n, body := Notification{ID: e.id}, []byte(nil)
+		switch {
+		case e.legacy > 0:
+			n = legacy[e.legacy-1]
+		case compacted:
+			body = data[e.to-(e.end-e.body) : e.to]
+		default:
+			body = data[e.body:e.end]
 		}
-		n.Acked = r.acked
+		n.Acked = e.acked
 		q.byID[n.ID] = len(q.notifs)
 		q.notifs = append(q.notifs, n)
+		q.bodies = append(q.bodies, body)
 	}
 	return nil
+}
+
+// at returns q.notifs[i], first decoding its body if load left it a
+// stub: each body is decoded once, by the first read that returns it.
+// Called with q.mu held.
+func (q *queue) at(i int) Notification {
+	if i < len(q.bodies) && q.bodies[i] != nil {
+		n := &q.notifs[i]
+		acked := n.Acked // an Ack since load outranks the body's acked byte
+		decodeNotifBody(wire.NewDec(q.bodies[i]), n)
+		n.Acked, q.bodies[i] = acked, nil
+	}
+	return q.notifs[i]
 }
 
 // appendCommit adds n encoded, newline-terminated records to the
@@ -828,10 +881,10 @@ func (s *Store) Pending(participant string) ([]Notification, error) {
 	if q.closed {
 		return nil, errClosed()
 	}
-	var out []Notification
-	for _, n := range q.notifs {
-		if !n.Acked {
-			out = append(out, n)
+	out := make([]Notification, 0, q.pending)
+	for i := range q.notifs {
+		if !q.notifs[i].Acked {
+			out = append(out, q.at(i))
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -874,11 +927,11 @@ func (s *Store) PendingAfter(participant string, afterID int64, limit int) ([]No
 		}
 	}
 	var out []Notification
-	for _, n := range q.notifs[lo:] {
-		if n.Acked {
+	for i := lo; i < len(q.notifs); i++ {
+		if q.notifs[i].Acked {
 			continue
 		}
-		out = append(out, n)
+		out = append(out, q.at(i))
 		if limit > 0 && len(out) == limit {
 			break
 		}
@@ -945,7 +998,11 @@ func (s *Store) History(participant string) ([]Notification, error) {
 	if q.closed {
 		return nil, errClosed()
 	}
-	return append([]Notification(nil), q.notifs...), nil
+	out := make([]Notification, len(q.notifs))
+	for i := range out {
+		out[i] = q.at(i)
+	}
+	return out, nil
 }
 
 // Ack marks a notification acknowledged, durably. The ack record rides

@@ -261,8 +261,9 @@ func specHash(src []byte) string {
 func (s *System) recoverState(cfg Config, reg *obs.Registry) error {
 	// The delivery queues load concurrently with the enactment replay:
 	// they are independent journals, and preloading here means the first
-	// post-startup enqueue or read hits a warm queue instead of paying
-	// the load.
+	// post-startup enqueue or read hits a loaded queue instead of paying
+	// the load. Load decodes no notification body: a queue's first read
+	// decodes the ones it returns.
 	preload := make(chan error, 1)
 	go func() { preload <- s.store.Preload() }()
 	// Schemas first: journal replay re-executes operations that name
