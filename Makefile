@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test race bench bench-smoke bench-test crash chaos-e2e chaos-disk fscheck cover docs examples experiments clean
+.PHONY: all check fmt build vet test race fuzz-smoke bench bench-smoke bench-test crash chaos-e2e chaos-disk fscheck cover docs examples experiments clean
 
-all: fmt build vet test race docs fscheck bench-smoke bench-test crash chaos-e2e chaos-disk
+all: fmt build vet test race fuzz-smoke docs fscheck bench-smoke bench-test crash chaos-e2e chaos-disk
 
 # The one gate to run before pushing: static checks plus the race-enabled
 # test suite, the docs-consistency guard and the storage-seam gate. The
@@ -47,19 +47,28 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Bounded fuzzing: each fuzz target runs for 5 s past its checked-in
+# seed corpus (testdata/fuzz/, which plain `go test` already replays).
+# A failing input is written to that corpus, so it fails `go test` until
+# mended.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzNotificationJSON$$' -fuzztime 5s ./internal/delivery/
+	$(GO) test -run '^$$' -fuzz '^FuzzListJSON$$' -fuzztime 5s ./internal/federation/
+
 bench:
 	$(GO) test -bench . -benchmem ./...
 
 # Compile-and-run smoke: every paper-figure arm of cmibench (its output
-# discarded) plus the journal-append, queue-load and queue-first-read
-# benchmarks at one iteration each.
+# discarded) plus the journal-append, queue-load, queue-first-read,
+# notification-JSON and SSE-frame benchmarks at one iteration each.
 # Every line is its own recipe command, so a non-zero exit fails the
 # target.
 bench-smoke:
 	$(GO) run ./cmd/cmibench -exp all >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkDeliveryFanout' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend' -benchtime=1x -benchmem ./internal/enact/
-	$(GO) test -run '^$$' -bench 'BenchmarkQueue(Load|FirstRead)' -benchtime=1x -benchmem ./internal/delivery/
+	$(GO) test -run '^$$' -bench 'BenchmarkQueue(Load|FirstRead)|BenchmarkNotificationsJSON' -benchtime=1x -benchmem ./internal/delivery/
+	$(GO) test -run '^$$' -bench 'BenchmarkFrameWriteEvents' -benchtime=1x -benchmem ./internal/stream/
 	$(GO) test -run '^$$' -bench 'BenchmarkSpoolPush' -benchtime=1x -benchmem ./internal/federation/
 
 # The pipeline benchmark (bench/, its own module, outside ./...) drives

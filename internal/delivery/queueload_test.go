@@ -1,12 +1,16 @@
 package delivery
 
 import (
+	"errors"
 	"fmt"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,6 +100,58 @@ func (m *memFS) Remove(path string) error {
 
 func (m *memFS) MkdirAll(string, os.FileMode) error { return nil }
 func (m *memFS) SyncDir(string) error               { return nil }
+
+// ReadDir lists the files directly inside dir; a directory holding no
+// file lists empty, since MkdirAll records nothing.
+func (m *memFS) ReadDir(dir string) ([]os.DirEntry, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []os.DirEntry
+	for path := range m.files {
+		if filepath.Dir(path) == filepath.Clean(dir) {
+			out = append(out, memDirEntry(filepath.Base(path)))
+		}
+	}
+	slices.SortFunc(out, func(a, b os.DirEntry) int { return strings.Compare(a.Name(), b.Name()) })
+	return out, nil
+}
+
+// memDirEntry is a memFS file as ReadDir lists it.
+type memDirEntry string
+
+func (e memDirEntry) Name() string             { return string(e) }
+func (memDirEntry) IsDir() bool                { return false }
+func (memDirEntry) Type() os.FileMode          { return 0 }
+func (memDirEntry) Info() (os.FileInfo, error) { return nil, errors.ErrUnsupported }
+
+// TestPreloadOverMemFS: Preload lists the store directory through the
+// store's filesystem, so a journal that exists only on an in-memory FS
+// is found and replayed at startup, not on first touch.
+func TestPreloadOverMemFS(t *testing.T) {
+	mem := newMemFS()
+	mem.WriteFile(filepath.Join("state", url.PathEscape("crew/7")+".jsonl"), restartJournal(40, 15), 0o644)
+	mem.WriteFile(filepath.Join("state", "notes.txt"), []byte("not a journal"), 0o644)
+	s, err := NewStoreWith("state", StoreOptions{FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if ps, err := s.Participants(); err != nil || !slices.Equal(ps, []string{"crew/7"}) {
+		t.Fatalf("Participants = %v, %v; want [crew/7]", ps, err)
+	}
+	if err := s.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	_, loaded := s.queues["crew/7"]
+	s.mu.Unlock()
+	if !loaded {
+		t.Fatal("Preload did not load the journal on the store's filesystem")
+	}
+	if got := s.pendingTotal.Load(); got != 25 {
+		t.Fatalf("pending after preload = %d, want 25", got)
+	}
+}
 
 // wideNotification has the shape of a WideMoved notification, the
 // payload of the pipeline benchmark's restart image: 14 params.

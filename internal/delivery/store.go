@@ -1068,7 +1068,7 @@ func (s *Store) Participants() ([]string, error) {
 	for p := range s.queues {
 		set[p] = true
 	}
-	entries, err := os.ReadDir(s.dir)
+	entries, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("delivery: %w", err)
 	}

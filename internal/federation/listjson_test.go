@@ -8,6 +8,7 @@ import (
 
 	"github.com/mcc-cmi/cmi/internal/core"
 	"github.com/mcc-cmi/cmi/internal/enact"
+	"github.com/mcc-cmi/cmi/internal/wire"
 )
 
 // encodeLikeWriteJSON is what the handlers sent before the append
@@ -60,8 +61,8 @@ func TestListJSONMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONString(%q) = %s, encoding/json = %s", s, got, want)
+		if got := wire.AppendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("wire.AppendJSONString(%q) = %s, encoding/json = %s", s, got, want)
 		}
 	}
 
@@ -99,4 +100,38 @@ func TestListJSONMatchesEncodingJSON(t *testing.T) {
 	if got := string(appendMonitorRows(nil, nil)); got != "[]\n" {
 		t.Errorf("nil monitor rows encode as %q", got)
 	}
+}
+
+// FuzzListJSON drives the two list encoders and the shared string
+// escaper against encoding/json over arbitrary field values.
+func FuzzListJSON(f *testing.F) {
+	f.Add("a-1", "Organize", "Task", "p-1", "TaskForce", "Running")
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g string) {
+		if got, want := wire.AppendJSONString(nil, a), mustMarshal(t, a); !bytes.Equal(got, want) {
+			t.Fatalf("wire.AppendJSONString(%q) = %s, encoding/json = %s", a, got, want)
+		}
+		items := []enact.WorkItem{
+			{ActivityID: a, Var: b, SchemaName: c, ProcessID: d, ProcessSchema: e, State: core.State(g)},
+			{ActivityID: g, Var: e, SchemaName: d, ProcessID: c, ProcessSchema: b, State: core.State(a)},
+		}
+		if got, want := appendWorkItems(nil, items), encodeLikeWriteJSON(t, items); !bytes.Equal(got, want) {
+			t.Fatalf("appendWorkItems differs from encoding/json:\n got %s\nwant %s", got, want)
+		}
+		rows := []enact.MonitorRow{
+			{ProcessID: a, ProcessSchema: b, ActivityID: c, Var: d, State: core.State(e), Assignee: g},
+			{ProcessID: g, ProcessSchema: e, ActivityID: d, Var: c, State: core.State(b), Assignee: a},
+		}
+		if got, want := appendMonitorRows(nil, rows), encodeLikeWriteJSON(t, rows); !bytes.Equal(got, want) {
+			t.Fatalf("appendMonitorRows differs from encoding/json:\n got %s\nwant %s", got, want)
+		}
+	})
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

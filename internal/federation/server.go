@@ -418,7 +418,7 @@ func (s *Server) getProcesses(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) getMonitor(w http.ResponseWriter, r *http.Request) {
 	rows := s.sys.Coordination().Monitor(r.PathValue("id"))
-	writeListBody(w, appendMonitorRows(listBuf(len(rows)), rows))
+	writeListBody(w, appendMonitorRows(listBuf(len(rows), rowBytesHint), rows))
 }
 
 // InstantiateRequest creates another instance of a repeatable activity.
@@ -442,7 +442,7 @@ func (s *Server) postInstantiate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) getWorklist(w http.ResponseWriter, r *http.Request) {
 	items := s.sys.Worklist(r.PathValue("participant"))
-	writeListBody(w, appendWorkItems(listBuf(len(items)), items))
+	writeListBody(w, appendWorkItems(listBuf(len(items), rowBytesHint), items))
 }
 
 // ActivityOpRequest names the acting user.
@@ -623,10 +623,12 @@ func (s *Server) getNotifications(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	if pending == nil {
-		pending = []delivery.Notification{}
+	body, err := delivery.AppendJSON(listBuf(len(pending), notifBytesHint), pending)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, pending)
+	writeListBody(w, append(body, '\n'))
 }
 
 func (s *Server) getDigest(w http.ResponseWriter, r *http.Request) {

@@ -236,6 +236,9 @@ func (ff *Fault) WriteFile(path string, data []byte, perm os.FileMode) error {
 // ReadFile reads the whole file (reads are never fault-injected).
 func (ff *Fault) ReadFile(path string) ([]byte, error) { return ff.inner.ReadFile(path) }
 
+// ReadDir lists the directory (never fault-injected, like reads).
+func (ff *Fault) ReadDir(dir string) ([]os.DirEntry, error) { return ff.inner.ReadDir(dir) }
+
 // Rename renames oldpath to newpath, or loses the Nth rename.
 func (ff *Fault) Rename(oldpath, newpath string) error {
 	if n := ff.cfg.FailRenameAt; n > 0 && ff.renames.Add(1) == n {

@@ -56,6 +56,8 @@ type FS interface {
 	WriteFile(path string, data []byte, perm os.FileMode) error
 	// ReadFile reads the whole file.
 	ReadFile(path string) ([]byte, error)
+	// ReadDir lists the directory, sorted by file name.
+	ReadDir(dir string) ([]os.DirEntry, error)
 	// Rename renames oldpath to newpath. The new link is not durable
 	// until the parent directory is fsynced; pair with SyncDir.
 	Rename(oldpath, newpath string) error
@@ -111,6 +113,8 @@ func (osFS) WriteFile(path string, data []byte, perm os.FileMode) error {
 }
 
 func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
+
+func (osFS) ReadDir(dir string) ([]os.DirEntry, error) { return os.ReadDir(dir) }
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 

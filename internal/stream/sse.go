@@ -6,13 +6,13 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"time"
 
 	"github.com/mcc-cmi/cmi/internal/delivery"
+	"github.com/mcc-cmi/cmi/internal/wire"
 )
 
 // A FrameWriter encodes notification batches as Server-Sent Events and
@@ -41,15 +41,9 @@ func (fw *FrameWriter) WriteHello(participant string, cursor int64, retry time.D
 		fw.buf = append(fw.buf, '\n')
 	}
 	fw.buf = append(fw.buf, "event: hello\ndata: "...)
-	hello, err := json.Marshal(struct {
-		Participant string `json:"participant"`
-		Cursor      int64  `json:"cursor"`
-	}{participant, cursor})
-	if err != nil {
-		return fmt.Errorf("stream: encode hello: %w", err)
-	}
-	fw.buf = append(fw.buf, hello...)
-	fw.buf = append(fw.buf, '\n', '\n')
+	fw.buf = wire.AppendJSONString(append(fw.buf, `{"participant":`...), participant)
+	fw.buf = strconv.AppendInt(append(fw.buf, `,"cursor":`...), cursor, 10)
+	fw.buf = append(fw.buf, '}', '\n', '\n')
 	return fw.flush()
 }
 
@@ -66,11 +60,10 @@ func (fw *FrameWriter) WriteEvents(ns []delivery.Notification) error {
 		fw.buf = append(fw.buf, "id: "...)
 		fw.buf = strconv.AppendInt(fw.buf, ns[i].ID, 10)
 		fw.buf = append(fw.buf, "\nevent: notification\ndata: "...)
-		body, err := json.Marshal(&ns[i])
-		if err != nil {
+		var err error
+		if fw.buf, err = delivery.AppendNotificationJSON(fw.buf, &ns[i]); err != nil {
 			return fmt.Errorf("stream: encode notification %d: %w", ns[i].ID, err)
 		}
-		fw.buf = append(fw.buf, body...)
 		fw.buf = append(fw.buf, '\n', '\n')
 	}
 	if err := fw.flush(); err != nil {

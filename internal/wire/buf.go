@@ -9,12 +9,15 @@ import (
 )
 
 // Size-classed encode buffers. The event hot path (delivery fan-out,
-// spool appends) borrows a buffer per record instead of allocating:
-// GetBuf returns a zero-length slice whose capacity covers the
-// requested size, PutBuf recycles it. Classes are powers of four so a
-// record lands at most one class above its size; requests beyond the
-// largest class are served by a plain allocation and never pooled.
-var bufClasses = [...]int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10}
+// spool appends) borrows a buffer per record instead of allocating, and
+// the HTTP list bodies one per response: GetBuf returns a zero-length
+// slice whose capacity covers the requested size, PutBuf recycles it.
+// Classes are powers of four so a record lands at most one class above
+// its size; the 256 KiB and 1 MiB classes hold the long list bodies (a
+// process monitor of thousands of rows, a queue of thousands of
+// notifications). Requests beyond the largest class are served by a
+// plain allocation and never pooled.
+var bufClasses = [...]int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
 
 var bufPools [len(bufClasses)]sync.Pool
 
@@ -53,9 +56,13 @@ func GetBuf(n int) []byte {
 
 // PutBuf recycles a buffer obtained from GetBuf. Buffers that grew
 // past their class (append reallocation) are re-binned by capacity;
-// oversized buffers are dropped for the GC.
+// buffers larger than the largest class are dropped for the GC, so a
+// one-off megabyte body is never handed to a small request.
 func PutBuf(b []byte) {
 	c := cap(b)
+	if c > bufClasses[len(bufClasses)-1] {
+		return
+	}
 	for i := len(bufClasses) - 1; i >= 0; i-- {
 		if c >= bufClasses[i] {
 			b = b[:0]

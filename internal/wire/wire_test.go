@@ -188,8 +188,8 @@ func TestBufPool(t *testing.T) {
 	PutBuf(b)
 	b2 := GetBuf(100)
 	PutBuf(b2)
-	big := GetBuf(1 << 20) // beyond the largest class: plain allocation
-	if cap(big) < 1<<20 {
+	big := GetBuf(4 << 20) // beyond the largest class: plain allocation
+	if cap(big) < 4<<20 {
 		t.Fatalf("oversized GetBuf cap=%d", cap(big))
 	}
 	PutBuf(big)
@@ -199,6 +199,26 @@ func TestBufPool(t *testing.T) {
 	}
 	if m1 <= m0 {
 		t.Fatal("oversized request should count a miss")
+	}
+}
+
+// TestPutBufKeepsClasses: a 1 MiB buffer put back is never served to a
+// request of 64 KiB or less, and a buffer beyond the largest class is
+// never served again at all.
+func TestPutBufKeepsClasses(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		PutBuf(make([]byte, 0, 1<<20))
+		PutBuf(make([]byte, 0, 4<<20))
+		for _, n := range []int{64 << 10, 16 << 10, 4 << 10, 1 << 10, 256, 1} {
+			b := GetBuf(n)
+			if cap(b) >= 1<<20 {
+				t.Fatalf("round %d: GetBuf(%d) returned a put-back 1 MiB buffer (cap %d)", round, n, cap(b))
+			}
+			PutBuf(b)
+		}
+		if b := GetBuf(1 << 20); cap(b) > 1<<20 {
+			t.Fatalf("round %d: GetBuf(1 MiB) returned a put-back oversized buffer (cap %d)", round, cap(b))
+		}
 	}
 }
 
